@@ -61,10 +61,9 @@ struct HybridConfig {
   int devices = -1;
   /// Pipelined is the production default; synchronous is the paper baseline.
   ExecutionMode mode = ExecutionMode::pipelined;
-  /// Device-selection strategy for every task (core/sched_policy.h). The
-  /// default is the paper's Algorithm 1 min-load pick; both modes and the
-  /// service thread the same policy through run_batch's single decision
-  /// site, and all three policies produce bitwise-identical spectra.
+  /// Device-selection strategy for every task (core/sched_policy.h): the
+  /// paper's Algorithm 1 min-load pick, the only supported value. Both
+  /// modes and the service share run_batch's single decision site.
   SchedulingPolicyKind scheduling_policy = SchedulingPolicyKind::dynamic_min_load;
   /// In-flight GPU tasks (and streams) per rank per device when pipelined.
   int pipeline_depth = 2;

@@ -120,17 +120,8 @@ HybridResult HybridExecutor::run_batch(
   shm_.view().points.initialize(static_cast<std::int64_t>(points.size()),
                                 config_.ranks, config_.steal_chunk);
 
-  // Per-batch scheduling telemetry restarts with the point queue, and the
-  // policy precomputes its batch state (the static policies build their
-  // ion-keyed device table here) before any rank runs.
+  // Per-batch scheduling telemetry restarts with the point queue.
   shm_.view().reset_sched_latency();
-  BatchContext policy_ctx;
-  policy_ctx.calc = calc_;
-  policy_ctx.granularity = config_.granularity;
-  policy_ctx.device_count = n_dev_;
-  policy_ctx.device_properties =
-      n_dev_ > 0 ? &registry_.device(0).properties() : nullptr;
-  policy_->begin_batch(policy_ctx);
 
   // Arm fault injection before the ranks start (thread creation publishes
   // the plan pointer). The plan's counters are cumulative across runs, so
@@ -232,7 +223,7 @@ HybridResult HybridExecutor::run_batch(
         for (const SpectralTask& task :
              make_tasks(*calc_, points[p], pops, config_.granularity)) {
           ++my_tasks;
-          // The single decision site both modes share: the policy picks
+          // The single decision site both modes share: Algorithm 1 picks
           // (and reserves) a device, the clock around it feeds the shm
           // latency histogram. Fault-path re-allocations below go through
           // sche_alloc directly, so the histogram stays one-per-task.
@@ -250,13 +241,13 @@ HybridResult HybridExecutor::run_batch(
       }
     }
 
-    comm.barrier();
+    // No cross-rank wait here: a rank that threw never arrives, and
+    // minimpi::run already joins every rank before the epilogue.
     accum.merge_rank(scheduler.stats(), fs, my_tasks,
                      async ? &async->stats() : nullptr);
   });
   accum.publish(result);
-  result.sched =
-      read_scheduling_stats(shm_.view(), config_.scheduling_policy);
+  result.sched = read_scheduling_stats(shm_.view());
 
   for (int d = 0; d < n_dev_; ++d) {
     const auto du = static_cast<std::size_t>(d);

@@ -47,7 +47,7 @@
 namespace hspec::core {
 
 /// Cross-rank aggregation of one batch's counters. Every rank calls
-/// merge_rank() once after the barrier; the single-threaded epilogue then
+/// merge_rank() once after its last claim; the single-threaded epilogue then
 /// publishes the totals into the HybridResult. merge_rank takes the mutex
 /// itself, so callers must not already hold it; the declarations below are
 /// the contract hlint's [guard-verify] pass checks against the locksets it
@@ -146,9 +146,8 @@ class HybridExecutor {
   HybridConfig config_;
   vgpu::DeviceRegistry registry_;
   ShmRegion shm_;
-  /// The batch's device-selection strategy (config_.scheduling_policy).
-  /// begin_batch() runs single-threaded at batch start; during the batch
-  /// every rank calls its read-only assign() through timed_assign.
+  /// The device-selection strategy (config_.scheduling_policy); stateless,
+  /// so every rank calls its assign() through timed_assign concurrently.
   std::unique_ptr<SchedulingPolicy> policy_;
   int n_dev_ = 0;
   std::vector<std::unique_ptr<vgpu::BufferPool>> pools_;

@@ -1,28 +1,9 @@
 #include "core/sched_policy.h"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <stdexcept>
 
-#include "apec/calculator.h"
-#include "vgpu/cost_model.h"
-#include "vgpu/device_properties.h"
-#include "vgpu/integr_kernel.h"
-
 namespace hspec::core {
-
-const char* to_string(SchedulingPolicyKind kind) noexcept {
-  switch (kind) {
-    case SchedulingPolicyKind::dynamic_min_load:
-      return "dynamic_min_load";
-    case SchedulingPolicyKind::static_cost_partition:
-      return "static_cost_partition";
-    case SchedulingPolicyKind::hybrid_static_steal:
-      return "hybrid_static_steal";
-  }
-  return "unknown";
-}
 
 double SchedulingStats::mean_ns() const noexcept {
   return decisions > 0
@@ -52,10 +33,8 @@ double SchedulingStats::quantile_ns(double q) const noexcept {
   return sched_latency_bucket_upper_ns(kSchedLatencyBuckets - 1);
 }
 
-SchedulingStats read_scheduling_stats(const SchedulerShm& shm,
-                                      SchedulingPolicyKind kind) {
+SchedulingStats read_scheduling_stats(const SchedulerShm& shm) {
   SchedulingStats s;
-  s.policy = kind;
   for (int b = 0; b < kSchedLatencyBuckets; ++b) {
     s.hist[b] = shm.sched_latency_hist[b].load(std::memory_order_relaxed);
     s.decisions += s.hist[b];
@@ -65,232 +44,11 @@ SchedulingStats read_scheduling_stats(const SchedulerShm& shm,
   return s;
 }
 
-namespace {
-
-/// The paper's Algorithm 1 pick, verbatim: every task scans the load array
-/// and CASes the min-load device (TaskScheduler::sche_alloc), falling back
-/// to QAGS when every queue is full.
-class DynamicMinLoad final : public SchedulingPolicy {
- public:
-  SchedulingPolicyKind kind() const noexcept override {
-    return SchedulingPolicyKind::dynamic_min_load;
-  }
-  void begin_batch(const BatchContext&) override {}
-  int assign(const SpectralTask&, TaskScheduler& sched) override {
-    return sched.sche_alloc();
-  }
-};
-
-/// Machinery shared by the two statically partitioned policies: a device
-/// table keyed by ion identity, built once per batch (single-threaded) and
-/// only read during it (every rank, concurrently).
-///
-/// Key: the task stream is not enumerable up front — populated_ions()
-/// filters by the per-point population floor, so different grid points
-/// yield different task lists. Ion identity is stable across points, so the
-/// table covers the whole database: slot z*(z+1)/2 + charge (charge <= z
-/// makes the ranges contiguous and collision-free; the free-free pseudo-
-/// unit z=0 gets slot 0), with one device per level for level granularity.
-///
-/// Packing: LPT greedy — price every potential task with the same
-/// vgpu::estimated_task_gpu_s the perfmodel DES is calibrated on, sort by
-/// cost descending (ties by slot then level, so the table is deterministic)
-/// and drop each task on the device with the least accumulated cost (ties
-/// to the lowest index).
-///
-/// Layout: the table is one contiguous block — per-slot offsets followed
-/// by the device entries they index — inline in the policy object when it
-/// fits, so a lookup is two loads on memory that stays cache-resident (a
-/// vector-of-vectors would chase one heap block per ion slot). On top, assignments rotate by the task's grid-point index:
-/// devices are homogeneous, so rotating a whole point's assignment
-/// preserves the LPT balance exactly while ranks working different points
-/// in lockstep (identical task streams per point) land on different
-/// devices instead of convoying their CASes on one shared cache line.
-class StaticTablePolicy : public SchedulingPolicy {
- public:
-  void begin_batch(const BatchContext& ctx) override {
-    table_ptr_ = nullptr;
-    slot_count_ = 0;
-    heap_.clear();
-    n_dev_ = ctx.device_count;
-    if (ctx.calc == nullptr) return;
-    const atomic::AtomicDatabase& db = ctx.calc->database();
-    const int max_z = db.config().max_z;
-    const std::size_t slots = static_cast<std::size_t>(max_z) *
-                                  static_cast<std::size_t>(max_z + 1) / 2 +
-                              static_cast<std::size_t>(max_z) + 1;
-    std::vector<std::vector<std::int32_t>> table_;
-    table_.assign(slots, {});
-
-    const apec::CalcOptions& opts = ctx.calc->options();
-    vgpu::TaskCostParams params;
-    params.evals_per_bin = static_cast<double>(quad::kernel_cost_evals(
-        opts.integration.kernel, opts.integration.kernel_param));
-    params.lanes = opts.integration.batch ? vgpu::kBatchLanes : 1.0;
-    const vgpu::GpuCostModel gpu(ctx.device_properties != nullptr
-                                     ? *ctx.device_properties
-                                     : vgpu::tesla_c2075());
-    const std::size_t bins = ctx.calc->grid().bin_count();
-
-    struct Entry {
-      double cost_s;
-      std::size_t slot;
-      std::size_t level;
-    };
-    std::vector<Entry> entries;
-    const double level_task_s =
-        vgpu::estimated_task_gpu_s(gpu, 1, bins, params);
-    for (const atomic::IonUnit& ion : db.ions()) {
-      const std::size_t slot = ion_slot(ion);
-      if (slot >= table_.size()) continue;  // defensive; db stays in range
-      if (ctx.granularity == TaskGranularity::level && ion.emits_rrc()) {
-        const std::size_t levels = db.level_count_for(ion);
-        table_[slot].assign(std::max<std::size_t>(levels, 1), -1);
-        for (std::size_t li = 0; li < levels; ++li)
-          entries.push_back({level_task_s, slot, li});
-      } else {
-        // Ion-granularity task (or a non-RRC unit under level granularity,
-        // which make_tasks keeps coarse). Zero levels degenerate to the
-        // fixed per-task overhead — the weight those tasks deserve.
-        const std::size_t levels =
-            ion.emits_rrc() ? db.level_count_for(ion) : 0;
-        table_[slot].assign(1, -1);
-        entries.push_back(
-            {vgpu::estimated_task_gpu_s(gpu, levels, bins, params), slot, 0});
-      }
-    }
-
-    const int n = ctx.device_count;
-    if (n > 0) {
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  if (a.cost_s > b.cost_s) return true;
-                  if (b.cost_s > a.cost_s) return false;
-                  if (a.slot != b.slot) return a.slot < b.slot;
-                  return a.level < b.level;
-                });
-      std::vector<double> device_cost_s(static_cast<std::size_t>(n), 0.0);
-      for (const Entry& e : entries) {
-        std::size_t best = 0;
-        for (std::size_t d = 1; d < device_cost_s.size(); ++d)
-          if (device_cost_s[d] < device_cost_s[best]) best = d;
-        device_cost_s[best] += e.cost_s;
-        table_[e.slot][e.level] = static_cast<std::int32_t>(best);
-      }
-    }
-
-    // Flatten into ONE contiguous block: t[0..slots] are absolute offsets
-    // into t itself (entry region starts at slots+1), t[slots+1..] are the
-    // per-level device ids. Small tables live inline in the policy object,
-    // so the hot lookup (offset load, entry load) touches memory adjacent
-    // to n_dev_ and stays cache-resident between tasks — the whole point of
-    // a static policy is that the per-task cost is two loads, not a heap
-    // walk.
-    std::vector<std::int32_t> combined(slots + 1, 0);
-    for (std::size_t s = 0; s < table_.size(); ++s) {
-      combined[s] = static_cast<std::int32_t>(combined.size());
-      combined.insert(combined.end(), table_[s].begin(), table_[s].end());
-    }
-    combined[slots] = static_cast<std::int32_t>(combined.size());
-    slot_count_ = static_cast<std::int32_t>(slots);
-    if (combined.size() <= inline_.size()) {
-      std::copy(combined.begin(), combined.end(), inline_.begin());
-      heap_.clear();
-      table_ptr_ = inline_.data();
-    } else {
-      heap_ = std::move(combined);
-      table_ptr_ = heap_.data();
-    }
-  }
-
- protected:
-  /// Pre-assigned device for `task`, or -1. Read-only: safe from any rank.
-  int lookup(const SpectralTask& task) const noexcept {
-    const std::int32_t* t = table_ptr_;
-    if (t == nullptr) return -1;
-    const atomic::IonUnit& ion = task.ion;
-    if (ion.z < 0 || ion.charge < 0 || ion.charge > ion.z) return -1;
-    const std::size_t slot = ion_slot(ion);
-    if (slot >= static_cast<std::size_t>(slot_count_)) return -1;
-    const std::int32_t begin = t[slot];
-    const std::int32_t end = t[slot + 1];
-    if (task.level_index >= static_cast<std::size_t>(end - begin)) return -1;
-    const std::int32_t device = t[begin + task.level_index];
-    if (device < 0) return -1;
-    // Per-point rotation (see class comment): balance-preserving on the
-    // homogeneous device set, convoy-breaking across ranks.
-    std::int32_t rotated =
-        device + static_cast<std::int32_t>(task.point.index %
-                                           static_cast<std::size_t>(n_dev_));
-    if (rotated >= n_dev_) rotated -= n_dev_;
-    return rotated;
-  }
-
- private:
-  static std::size_t ion_slot(const atomic::IonUnit& ion) noexcept {
-    return static_cast<std::size_t>(ion.z) *
-               static_cast<std::size_t>(ion.z + 1) / 2 +
-           static_cast<std::size_t>(ion.charge);
-  }
-
-  /// Inline capacity: offsets + entries for the full APEC database at ion
-  /// granularity (max_z 28 => 435 slots) fit with lots of headroom; level
-  /// granularity on big level caps falls back to the heap vector.
-  std::array<std::int32_t, 2048> inline_{};
-  std::vector<std::int32_t> heap_;
-  const std::int32_t* table_ptr_ = nullptr;  ///< inline_ or heap_ data
-  std::int32_t slot_count_ = 0;
-  int n_dev_ = 0;
-};
-
-/// Pure pre-partition: table lookup + one directed CAS per task. A full or
-/// quarantined target drops the task to the CPU fallback (Algorithm 1's
-/// QAGS overflow path); nothing rebalances mid-batch.
-class StaticCostPartition final : public StaticTablePolicy {
- public:
-  SchedulingPolicyKind kind() const noexcept override {
-    return SchedulingPolicyKind::static_cost_partition;
-  }
-  int assign(const SpectralTask& task, TaskScheduler& sched) override {
-    const int target = lookup(task);
-    const int device = target >= 0 ? sched.sche_assign(target) : -1;
-    if (device < 0) sched.count_cpu_fallback();
-    return device;
-  }
-};
-
-/// Static table first; when the directed reservation fails (queue full,
-/// device quarantined) the task is re-routed through the dynamic min-load
-/// pick instead of the CPU — static cost in the common case, dynamic
-/// correction under imbalance or faults.
-class HybridStaticSteal final : public StaticTablePolicy {
- public:
-  SchedulingPolicyKind kind() const noexcept override {
-    return SchedulingPolicyKind::hybrid_static_steal;
-  }
-  int assign(const SpectralTask& task, TaskScheduler& sched) override {
-    const int target = lookup(task);
-    if (target >= 0) {
-      const int device = sched.sche_assign(target);
-      if (device >= 0) return device;
-    }
-    return sched.sche_alloc();  // counts the CPU fallback itself on -1
-  }
-};
-
-}  // namespace
-
 std::unique_ptr<SchedulingPolicy> SchedulingPolicy::make(
     SchedulingPolicyKind kind) {
-  switch (kind) {
-    case SchedulingPolicyKind::dynamic_min_load:
-      return std::make_unique<DynamicMinLoad>();
-    case SchedulingPolicyKind::static_cost_partition:
-      return std::make_unique<StaticCostPartition>();
-    case SchedulingPolicyKind::hybrid_static_steal:
-      return std::make_unique<HybridStaticSteal>();
-  }
-  throw std::invalid_argument("SchedulingPolicy::make: unknown policy kind");
+  if (kind != SchedulingPolicyKind::dynamic_min_load)
+    throw std::invalid_argument("SchedulingPolicy::make: unknown policy kind");
+  return std::make_unique<SchedulingPolicy>();
 }
 
 int timed_assign(SchedulingPolicy& policy, const SpectralTask& task,

@@ -1,43 +1,16 @@
 #pragma once
-// Pluggable scheduling policies over the Algorithm 1 scheduler (DESIGN.md
-// §15). The paper ships exactly one strategy — every rank picks the
-// min-load device at task-submission time — and pays a shared-cache-line
-// scan plus a CAS per task for it. This seam makes that strategy one of
-// three:
-//
-//  * dynamic_min_load    — the paper's Algorithm 1 pick, unchanged: scan
-//    loads, CAS the min-load device, QAGS fallback when all queues are
-//    full. Maximum information, maximum per-task overhead.
-//  * static_cost_partition — a StarPU-style pre-partition: at batch start
-//    every schedulable ion unit is priced with the same per-task GPU cost
-//    estimate the perfmodel DES is calibrated on
-//    (vgpu::estimated_task_gpu_s) and packed onto devices by LPT greedy.
-//    Per task the rank does one table lookup and one directed CAS — no
-//    scan. A full (or quarantined) target sends the task to the CPU
-//    fallback; nothing rebalances.
-//  * hybrid_static_steal — the static table first, and when the directed
-//    reservation fails (queue full, device quarantined) the task falls
-//    back to the dynamic min-load pick instead of the CPU. Static cost in
-//    the common case, dynamic correction under imbalance or faults.
-//
-// All three produce bitwise-identical spectra for max_queue_length large
-// enough that no task overflows to QAGS: virtual GPUs execute identical
-// host math, so *which* GPU runs a task never changes bits — only the
-// GPU/CPU split can, and that is exactly what the policies vary under
-// pressure. The identity tests pin this.
+// The scheduling decision site and its telemetry (DESIGN.md §15). The
+// paper ships exactly one strategy — Algorithm 1: every rank picks the
+// min-load device at task-submission time (TaskScheduler::sche_alloc) and
+// falls back to QAGS when every queue is full — and so does this code.
 //
 // Instrumentation: every primary allocation decision is clocked by
 // timed_assign() and recorded in SchedulerShm's fixed-bucket latency
 // histogram; read_scheduling_stats() folds it into the SchedulingStats
 // surfaced by HybridResult / service::ServiceStats.
-//
-// Threading contract: begin_batch() is single-threaded (executor, batch
-// start); assign() is called concurrently by every rank and must only read
-// policy state, mutating shared state through the TaskScheduler only.
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/scheduler.h"
 #include "core/shm.h"
@@ -52,19 +25,15 @@ struct DeviceProperties;
 
 namespace hspec::core {
 
+/// The one supported strategy: the paper's Algorithm 1 min-load pick.
 enum class SchedulingPolicyKind : std::int32_t {
   dynamic_min_load = 0,
-  static_cost_partition = 1,
-  hybrid_static_steal = 2,
 };
-
-const char* to_string(SchedulingPolicyKind kind) noexcept;
 
 /// One batch's scheduling-latency telemetry, read back from the shm
 /// histogram after the ranks join. Counts sum to the batch's tasks_total
 /// (timed_assign clocks exactly one decision per task).
 struct SchedulingStats {
-  SchedulingPolicyKind policy = SchedulingPolicyKind::dynamic_min_load;
   std::int64_t hist[kSchedLatencyBuckets] = {};
   std::int64_t decisions = 0;       ///< sum of hist
   std::int64_t latency_ns_total = 0;
@@ -80,13 +49,10 @@ struct SchedulingStats {
 
 /// Snapshot the shm latency histogram into a SchedulingStats (relaxed
 /// loads; call after the ranks have joined).
-SchedulingStats read_scheduling_stats(const SchedulerShm& shm,
-                                      SchedulingPolicyKind kind);
+SchedulingStats read_scheduling_stats(const SchedulerShm& shm);
 
-/// Everything a policy may precompute from at batch start. The calculator
-/// gives the ion universe and integration options (kernel evals per bin,
-/// batched lanes); device_properties prices the kernel/transfer times
-/// (null => the paper's Tesla C2075).
+/// The batch a policy is about to schedule. Algorithm 1 decides from live
+/// queue state alone, so begin_batch() ignores it.
 struct BatchContext {
   const apec::SpectrumCalculator* calc = nullptr;
   TaskGranularity granularity = TaskGranularity::ion;
@@ -94,20 +60,20 @@ struct BatchContext {
   const vgpu::DeviceProperties* device_properties = nullptr;
 };
 
+/// Algorithm 1 as a policy object: stateless, so one instance may be shared
+/// by every rank.
 class SchedulingPolicy {
  public:
-  virtual ~SchedulingPolicy() = default;
-
-  virtual SchedulingPolicyKind kind() const noexcept = 0;
-
-  /// Single-threaded, once per batch, before any rank calls assign().
-  virtual void begin_batch(const BatchContext& ctx) = 0;
-
-  /// Pick (and reserve a queue slot on) a device for `task`, or return -1
-  /// for the CPU path. Thread-safe: called concurrently by every rank.
-  virtual int assign(const SpectralTask& task, TaskScheduler& sched) = 0;
-
+  /// Throws std::invalid_argument for any kind but dynamic_min_load.
   static std::unique_ptr<SchedulingPolicy> make(SchedulingPolicyKind kind);
+
+  void begin_batch(const BatchContext&) noexcept {}
+
+  /// Pick (and reserve a queue slot on) a device for the task, or return -1
+  /// for the CPU path. Thread-safe: called concurrently by every rank.
+  int assign(const SpectralTask&, TaskScheduler& sched) {
+    return sched.sche_alloc();
+  }
 };
 
 /// The instrumented decision site: clock assign() and record the latency in

@@ -88,34 +88,6 @@ int TaskScheduler::sche_alloc() {
   return -1;
 }
 
-int TaskScheduler::sche_assign(int device) {
-  if (device < 0 || device >= shm_->device_count) return -1;
-  if (quarantined(device)) return -1;
-  const std::int32_t lmax =
-      shm_->max_queue_length.load(std::memory_order_relaxed);
-  std::int32_t expected = shm_->load[device].load(std::memory_order_acquire);
-  // The same bounded increment sche_alloc uses: succeed only below the cap,
-  // so a static pre-assignment can never overfill a queue behind the
-  // dynamic policy's back.
-  while (expected < lmax) {
-    if (shm_->load[device].compare_exchange_weak(expected, expected + 1,
-                                                 std::memory_order_acq_rel)) {
-      HSPEC_DCHECK(expected >= 0 && expected < lmax,
-                   "device load outside [0, max_queue_length) at assign");
-      [[maybe_unused]] const std::int64_t prev_hist =
-          shm_->history[device].fetch_add(1, std::memory_order_relaxed);
-      HSPEC_DCHECK(prev_hist >= 0, "history task count went negative");
-      ++stats_.gpu_allocations;
-      return device;
-    }
-    ++stats_.cas_retries;
-  }
-  // A quarantine can land between the check above and the CAS; like
-  // sche_alloc's post-CAS window this is benign (the task runs or faults
-  // and is retried), so no re-check is needed here.
-  return -1;
-}
-
 void TaskScheduler::record_sched_latency(std::int64_t ns) noexcept {
   shm_->sched_latency_hist[sched_latency_bucket(ns)].fetch_add(
       1, std::memory_order_relaxed);

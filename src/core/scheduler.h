@@ -94,22 +94,8 @@ class TaskScheduler {
   /// Algorithm 1 SCHE-ALLOC. Returns device id or -1 (all full / no GPU).
   int sche_alloc();
 
-  /// Directed reservation for the static scheduling policies (DESIGN.md
-  /// §15): try to take one queue slot on exactly `device` — the same
-  /// bounded CAS increment sche_alloc performs, minus the min-load scan.
-  /// Returns `device` on success; -1 when the device is out of range,
-  /// quarantined, or already at the queue-length cap (the caller decides
-  /// whether to correct dynamically or fall back to the CPU). Counts a GPU
-  /// allocation on success and nothing on failure.
-  int sche_assign(int device);
-
   /// Algorithm 1 SCHE-FREE.
   void sche_free(int device);
-
-  /// Record a CPU-fallback verdict a policy reached without going through
-  /// sche_alloc (a failed sche_assign the policy chose not to correct), so
-  /// gpu_allocations + cpu_fallbacks keeps counting every primary decision.
-  void count_cpu_fallback() noexcept { ++stats_.cpu_fallbacks; }
 
   /// Record one primary allocation decision's latency into the shm
   /// histogram (timed_assign's storage; relaxed — pure telemetry).

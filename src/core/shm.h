@@ -43,10 +43,10 @@ double sched_latency_bucket_upper_ns(int bucket) noexcept;
 /// same shared segment as the Algorithm 1 arrays. Each rank owns an initial
 /// contiguous range (the old static split) and claims chunks from its own
 /// cursor; a rank whose range is exhausted steals chunks from the victim
-/// with the most unclaimed points instead of idling at the barrier. Cursors
-/// only grow, so every point index is handed out exactly once even when
-/// thieves race; a fetch_add that lands past the range end simply claims
-/// nothing.
+/// with the most unclaimed points instead of idling until the batch joins.
+/// Cursors only grow, so every point index is handed out exactly once even
+/// when thieves race; a fetch_add that lands past the range end simply
+/// claims nothing.
 struct PointWorkQueue {
   std::atomic<std::int64_t> cursor[kMaxRanks];  ///< next unclaimed point
   std::int64_t range_begin[kMaxRanks];

@@ -55,9 +55,7 @@ vgpu::TaskCostParams SpectralCostModel::task_cost_params() const {
 }
 
 double SpectralCostModel::ion_gpu_s() const {
-  // The shared per-task estimate (vgpu::estimated_task_gpu_s) is the same
-  // arithmetic the static scheduling policies partition by, so the DES
-  // anchors and the scheduler's cost metric cannot drift apart.
+  // The shared per-task estimate (vgpu::estimated_task_gpu_s).
   return vgpu::estimated_task_gpu_s(gpu_model_, workload_.avg_levels_per_ion,
                                     workload_.bins_per_level,
                                     task_cost_params());

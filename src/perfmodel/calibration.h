@@ -90,7 +90,7 @@ class SpectralCostModel {
   const core::WorkloadParams& workload() const noexcept { return workload_; }
 
   /// The calibration's knobs in the shared vgpu::estimated_task_gpu_s
-  /// shape — what the static scheduling policies partition by.
+  /// shape.
   vgpu::TaskCostParams task_cost_params() const;
 
  private:

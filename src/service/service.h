@@ -102,7 +102,7 @@ struct ServiceStats {
   /// (zeroes for a fully cached request or a fault-free run).
   core::FaultStats faults;
   /// Scheduling-latency telemetry of that batch (core/sched_policy.h):
-  /// which policy decided, how many decisions, and the latency histogram.
+  /// how many decisions, and the latency histogram.
   /// Zero decisions for a fully cached request.
   core::SchedulingStats sched;
   /// Device health after that batch (live executor state; empty for a

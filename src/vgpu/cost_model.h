@@ -56,9 +56,9 @@ class GpuCostModel {
   DeviceProperties props_;
 };
 
-/// Knobs of the per-task GPU cost estimate shared by the perfmodel's DES
-/// calibration and the static scheduling policies (DESIGN.md §15). Defaults
-/// mirror perfmodel::PaperCalibration so a bare estimate is paper-shaped.
+/// Knobs of the per-task GPU cost estimate behind the perfmodel's DES
+/// calibration. Defaults mirror perfmodel::PaperCalibration so a bare
+/// estimate is paper-shaped.
 struct TaskCostParams {
   double context_switch_s = 2.5e-3;  ///< Fermi inter-process switch per task
   double flops_per_eval = 26.0;      ///< integrand cost inside the kernel
@@ -69,8 +69,7 @@ struct TaskCostParams {
 /// Estimated end-to-end GPU time of one spectral task (§III-B shape):
 /// context switch + one kernel per energy level + the edges-up / emi-down
 /// transfers. `levels == 0` (closed-form / non-RRC ions) degenerates to
-/// the fixed per-task overhead, which is exactly the weight those tasks
-/// should carry in a cost-partitioned schedule.
+/// the fixed per-task overhead.
 double estimated_task_gpu_s(const GpuCostModel& gpu, std::size_t levels,
                             std::size_t bins,
                             const TaskCostParams& params) noexcept;

@@ -8,15 +8,19 @@
 
 #include <atomic>
 #include <cmath>
+#include <ostream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "apec/calculator.h"
 #include "core/autotune.h"
 #include "core/hybrid.h"
+#include "core/hybrid_executor.h"
 #include "core/scheduler.h"
 #include "core/shm.h"
 #include "core/task.h"
+#include "service/service.h"
 #include "util/fault.h"
 #include "util/statistics.h"
 
@@ -572,6 +576,8 @@ TEST_P(HybridEquivalence, MatchesSerialBaseline) {
   EXPECT_GT(res.tasks_total, 0u);
   EXPECT_EQ(res.scheduling.gpu_allocations + res.scheduling.cpu_fallbacks,
             static_cast<std::int64_t>(res.tasks_total));
+  // The latency histogram clocks every task exactly once.
+  EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
   if (devices == 0) {
     EXPECT_EQ(res.scheduling.gpu_allocations, 0);
   } else {
@@ -643,6 +649,80 @@ TEST_F(HybridTest, InvalidConfigThrows) {
   bad4.degrade_after = 3;
   bad4.quarantine_after = 2;  // must be >= degrade_after
   EXPECT_THROW(HybridDriver(calc_, bad4), std::invalid_argument);
+}
+
+// ------------------------------------------- a throwing rank fails cleanly
+
+void expect_bitwise_equal(const std::vector<apec::Spectrum>& a,
+                          const std::vector<apec::Spectrum>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p)
+    for (std::size_t i = 0; i < a[p].bin_count(); ++i)
+      ASSERT_EQ(a[p][i], b[p][i]) << "point " << p << " bin " << i;
+}
+
+struct BadPoint {
+  double kT_keV;
+  int ranks;
+  ExecutionMode mode;
+};
+
+void PrintTo(const BadPoint& c, std::ostream* os) {
+  *os << "kT=" << c.kT_keV << " ranks=" << c.ranks
+      << (c.mode == ExecutionMode::synchronous ? " sync" : " pipelined");
+}
+
+class BadPointBatch : public HybridTest,
+                      public ::testing::WithParamInterface<BadPoint> {};
+
+TEST_P(BadPointBatch, ThrowsThenNextBatchMatchesFreshRun) {
+  // kT <= 0 makes the populations throw in whichever rank claims that
+  // point. The other ranks finish their points; the batch must then
+  // surface the error rather than wait for the failed rank, and the same
+  // executor must serve the next batch exactly like a fresh driver.
+  const auto [kT, ranks, mode] = GetParam();
+  HybridConfig cfg;
+  cfg.ranks = ranks;
+  cfg.devices = 2;
+  cfg.mode = mode;
+  HybridExecutor executor(calc_, cfg);
+  const std::vector<apec::GridPoint> bad{{0.5, 1.0, 0.0, 0},
+                                         {kT, 1.0, 0.0, 1}};
+  EXPECT_THROW(executor.run_batch(bad), std::invalid_argument);
+
+  const std::vector<apec::GridPoint> good{{0.3, 1.0, 0.0, 0},
+                                          {0.8, 1.0, 0.0, 1}};
+  const HybridResult res = executor.run_batch(good);
+  const HybridResult fresh = HybridDriver(calc_, cfg).run(good);
+  EXPECT_EQ(res.tasks_total, fresh.tasks_total);
+  // The failed batch's decisions do not leak into the next one.
+  EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
+  expect_bitwise_equal(res.spectra, fresh.spectra);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonPositiveTemperature, BadPointBatch,
+    ::testing::Values(BadPoint{-1.0, 2, ExecutionMode::synchronous},
+                      BadPoint{-1.0, 2, ExecutionMode::pipelined},
+                      BadPoint{-1.0, 4, ExecutionMode::synchronous},
+                      BadPoint{-1.0, 4, ExecutionMode::pipelined},
+                      BadPoint{0.0, 2, ExecutionMode::synchronous},
+                      BadPoint{0.0, 2, ExecutionMode::pipelined},
+                      BadPoint{0.0, 4, ExecutionMode::synchronous},
+                      BadPoint{0.0, 4, ExecutionMode::pipelined}));
+
+TEST_F(HybridTest, ServiceServesTheTicketAfterABadOne) {
+  service::ServiceConfig cfg;
+  cfg.hybrid.ranks = 2;
+  cfg.hybrid.devices = 2;
+  service::SpectralService svc(calc_, cfg);
+  EXPECT_THROW(svc.submit({{0.5, 1.0, 0.0, 0}, {-1.0, 1.0, 0.0, 1}}).wait(),
+               std::invalid_argument);
+  const std::vector<apec::GridPoint> good{{0.3, 1.0, 0.0, 0},
+                                          {0.8, 1.0, 0.0, 1}};
+  const service::ServiceReply reply = svc.submit(good).wait();
+  expect_bitwise_equal(reply.spectra,
+                       HybridDriver(calc_, cfg.hybrid).run(good).spectra);
 }
 
 // ------------------------------------------------- hybrid fault recovery

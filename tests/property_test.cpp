@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "atomic/ion_balance.h"
@@ -141,6 +142,12 @@ struct MethodCase {
   std::size_t fine;
   double expected_gain;  // error(coarse)/error(fine) lower bound
 };
+
+// Names the ctest case; the default byte dump would include the padding
+// after `method`, which is not initialized, so names changed between builds.
+void PrintTo(const MethodCase& c, std::ostream* os) {
+  *os << quad::to_string(c.method) << ' ' << c.coarse << "->" << c.fine;
+}
 
 class ConvergenceSweep : public ::testing::TestWithParam<MethodCase> {};
 

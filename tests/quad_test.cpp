@@ -8,7 +8,6 @@
 #include <numbers>
 
 #include "quad/integrate.h"
-#include "quad/qagp.h"
 
 namespace {
 
@@ -307,56 +306,6 @@ TEST(Tolerance, CombinedBound) {
   Tolerance tol{1e-3, 1e-6};
   EXPECT_DOUBLE_EQ(tol.bound(1.0), 1e-3);    // absolute dominates
   EXPECT_DOUBLE_EQ(tol.bound(1e6), 1.0);     // relative dominates
-}
-
-// ------------------------------------------------------------------ QAGP
-
-TEST(Qagp, SplitsAtKnownDiscontinuities) {
-  const double edge = 0.3333;
-  auto f = [&](double x) { return x < edge ? 0.0 : std::exp(-(x - edge)); };
-  const double exact = 1.0 - std::exp(-(1.0 - edge));
-  const std::vector<double> breaks{edge};
-  const auto r = qagp(f, 0.0, 1.0, breaks, {});
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.value, exact, 1e-10);
-}
-
-TEST(Qagp, CheaperThanQagsOnTheSameJump) {
-  const double edge = 0.3333;
-  auto f = [&](double x) { return x < edge ? 0.0 : std::exp(-(x - edge)); };
-  const std::vector<double> breaks{edge};
-  const auto informed = qagp(f, 0.0, 1.0, breaks, {});
-  const auto blind = qags(f, 0.0, 1.0, 1e-10, 1e-10);
-  EXPECT_LT(informed.evaluations, blind.evaluations);
-}
-
-TEST(Qagp, IgnoresOutOfRangeAndDuplicateBreaks) {
-  auto f = [](double x) { return x * x; };
-  const std::vector<double> breaks{-5.0, 0.5, 0.5, 7.0};
-  const auto r = qagp(f, 0.0, 1.0, breaks, {});
-  EXPECT_NEAR(r.value, 1.0 / 3.0, 1e-12);
-}
-
-TEST(Qagp, NoBreaksEqualsQags) {
-  auto f = [](double x) { return std::sin(x); };
-  const auto a = qagp(f, 0.0, 2.0, {}, {});
-  const auto b = qags(f, 0.0, 2.0, {});
-  EXPECT_DOUBLE_EQ(a.value, b.value);
-}
-
-TEST(Qagp, ReversedIntervalNegates) {
-  auto f = [](double x) { return x; };
-  const std::vector<double> breaks{0.5};
-  const auto fwd = qagp(f, 0.0, 1.0, breaks, {});
-  const auto rev = qagp(f, 1.0, 0.0, breaks, {});
-  EXPECT_NEAR(fwd.value, -rev.value, 1e-14);
-  EXPECT_NEAR(fwd.value, 0.5, 1e-12);
-}
-
-TEST(Qagp, EmptyIntervalZero) {
-  auto f = [](double) { return 1.0; };
-  const auto r = qagp(f, 1.0, 1.0, {}, {});
-  EXPECT_DOUBLE_EQ(r.value, 0.0);
 }
 
 // ------------------------------------------------- degenerate-input edges

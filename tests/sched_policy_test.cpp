@@ -1,22 +1,22 @@
-// Invariant pack for the pluggable scheduling policies (DESIGN.md §15):
-// bucket math, the directed sche_assign reservation, the static cost
-// table, bitwise identity of the spectra across all three policies on the
-// sync / pipelined / service paths, the tasks_total == histogram-count
-// contract, randomized seeded task streams (exactly-once, no lost tasks
-// under steal races, quarantined devices never assigned), and a TSan
-// regression pinning the atomic max_queue_length autotuner fix.
+// Invariant pack for the scheduling decision site (DESIGN.md §15): latency
+// bucket math, the one accepted policy kind, the tasks_total ==
+// histogram-count contract on the executor and service paths, randomized
+// seeded task streams (exactly-once, no lost tasks under steal races,
+// quarantined devices never assigned), and a TSan regression pinning the
+// atomic max_queue_length autotuner fix.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "apec/calculator.h"
 #include "core/hybrid.h"
+#include "core/hybrid_executor.h"
 #include "core/sched_policy.h"
 #include "core/scheduler.h"
 #include "core/shm.h"
@@ -81,40 +81,6 @@ TEST(SchedulingStats, MeanAndQuantilesFromHistogram) {
   EXPECT_DOUBLE_EQ(s.quantile_ns(1.0), 40.0);  // frac 1.0: the upper bound
 }
 
-// ------------------------------------------------------- sche_assign
-
-TEST(ScheAssign, DirectedReservationSemantics) {
-  ShmRegion region = ShmRegion::create_inprocess(2, 2);
-  TaskScheduler sched(region.view());
-  // Out of range: no verdict, no counters.
-  EXPECT_EQ(sched.sche_assign(-1), -1);
-  EXPECT_EQ(sched.sche_assign(2), -1);
-  EXPECT_EQ(sched.stats().gpu_allocations, 0);
-  // Success takes exactly one slot on exactly the requested device.
-  EXPECT_EQ(sched.sche_assign(1), 1);
-  EXPECT_EQ(sched.load(0), 0);
-  EXPECT_EQ(sched.load(1), 1);
-  EXPECT_EQ(sched.history(1), 1);
-  EXPECT_EQ(sched.stats().gpu_allocations, 1);
-  // The cap bounds the directed path exactly as it bounds sche_alloc.
-  EXPECT_EQ(sched.sche_assign(1), 1);
-  EXPECT_EQ(sched.sche_assign(1), -1);
-  EXPECT_EQ(sched.load(1), 2);
-  sched.sche_free(1);
-  sched.sche_free(1);
-}
-
-TEST(ScheAssign, QuarantinedDeviceRefused) {
-  ShmRegion region = ShmRegion::create_inprocess(2, 4);
-  TaskScheduler sched(region.view());
-  sched.report_task_fault(0, /*fatal=*/true);
-  EXPECT_EQ(sched.health(0), DeviceHealth::quarantined);
-  EXPECT_EQ(sched.sche_assign(0), -1);
-  EXPECT_EQ(sched.history(0), 0);
-  EXPECT_EQ(sched.sche_assign(1), 1);
-  sched.sche_free(1);
-}
-
 // ------------------------------------------------------ shared fixture
 
 class SchedPolicyTest : public ::testing::Test {
@@ -146,222 +112,100 @@ class SchedPolicyTest : public ::testing::Test {
   apec::SpectrumCalculator calc_;
 };
 
-constexpr SchedulingPolicyKind kAllPolicies[] = {
-    SchedulingPolicyKind::dynamic_min_load,
-    SchedulingPolicyKind::static_cost_partition,
-    SchedulingPolicyKind::hybrid_static_steal,
-};
-
-TEST_F(SchedPolicyTest, StaticTableCoversEveryTaskAndIsDeterministic) {
-  for (TaskGranularity g : {TaskGranularity::ion, TaskGranularity::level}) {
-    BatchContext ctx;
-    ctx.calc = &calc_;
-    ctx.granularity = g;
-    ctx.device_count = 3;
-    auto policy =
-        SchedulingPolicy::make(SchedulingPolicyKind::static_cost_partition);
-    policy->begin_batch(ctx);
-
-    ShmRegion region = ShmRegion::create_inprocess(3, 1024);
-    TaskScheduler sched(region.view());
-    const auto tasks = tasks_for(g);
-    ASSERT_FALSE(tasks.empty());
-    std::vector<int> first;
-    for (const auto& t : tasks) {
-      const int d = policy->assign(t, sched);
-      ASSERT_GE(d, 0) << "empty queues must never overflow to the CPU";
-      ASSERT_LT(d, 3);
-      first.push_back(d);
-      sched.sche_free(d);
-    }
-    // Rebuilding the table must reproduce the same partition bit-for-bit
-    // (LPT with deterministic tie-breaks), and so must a second policy.
-    auto policy2 =
-        SchedulingPolicy::make(SchedulingPolicyKind::static_cost_partition);
-    policy2->begin_batch(ctx);
-    policy->begin_batch(ctx);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const int d = policy->assign(tasks[i], sched);
-      EXPECT_EQ(d, first[i]);
-      sched.sche_free(d);
-      const int d2 = policy2->assign(tasks[i], sched);
-      EXPECT_EQ(d2, first[i]);
-      sched.sche_free(d2);
-    }
-    // Every device receives work: the LPT pack spreads the database.
-    for (int d = 0; d < 3; ++d)
-      EXPECT_TRUE(std::count(first.begin(), first.end(), d) > 0)
-          << "device " << d << " got no tasks under " << to_string(g);
-  }
+TEST_F(SchedPolicyTest, OnlyDynamicMinLoadIsAccepted) {
+  EXPECT_NE(SchedulingPolicy::make(SchedulingPolicyKind::dynamic_min_load),
+            nullptr);
+  const auto retired = static_cast<SchedulingPolicyKind>(1);
+  EXPECT_THROW(SchedulingPolicy::make(retired), std::invalid_argument);
+  HybridConfig cfg;
+  cfg.devices = 1;
+  cfg.scheduling_policy = retired;
+  EXPECT_THROW(HybridExecutor(calc_, cfg), std::invalid_argument);
 }
 
 TEST_F(SchedPolicyTest, NoDevicesEveryPolicyFallsBackToCpu) {
-  BatchContext ctx;
-  ctx.calc = &calc_;
-  ctx.device_count = 0;
   ShmRegion region = ShmRegion::create_inprocess(0, 4);
   const auto tasks = tasks_for(TaskGranularity::ion);
-  for (const auto kind : kAllPolicies) {
-    TaskScheduler sched(region.view());
-    auto policy = SchedulingPolicy::make(kind);
-    policy->begin_batch(ctx);
-    for (const auto& t : tasks) EXPECT_EQ(timed_assign(*policy, t, sched), -1);
-    // Every verdict is still counted (and clocked) exactly once.
-    EXPECT_EQ(sched.stats().cpu_fallbacks,
-              static_cast<std::int64_t>(tasks.size()));
-    EXPECT_EQ(sched.stats().gpu_allocations, 0);
-  }
-  const SchedulingStats stats = read_scheduling_stats(
-      region.view(), SchedulingPolicyKind::dynamic_min_load);
-  EXPECT_EQ(stats.decisions,
-            static_cast<std::int64_t>(3 * tasks_for(TaskGranularity::ion).size()));
+  TaskScheduler sched(region.view());
+  auto policy = SchedulingPolicy::make(SchedulingPolicyKind::dynamic_min_load);
+  for (const auto& t : tasks) EXPECT_EQ(timed_assign(*policy, t, sched), -1);
+  // Every verdict is still counted (and clocked) exactly once.
+  EXPECT_EQ(sched.stats().cpu_fallbacks,
+            static_cast<std::int64_t>(tasks.size()));
+  EXPECT_EQ(sched.stats().gpu_allocations, 0);
+  EXPECT_EQ(read_scheduling_stats(region.view()).decisions,
+            static_cast<std::int64_t>(tasks.size()));
 }
 
 TEST_F(SchedPolicyTest, QuarantinedDeviceNeverAssignedByAnyPolicy) {
   const auto tasks = tasks_for(TaskGranularity::ion);
-  for (const auto kind : kAllPolicies) {
-    BatchContext ctx;
-    ctx.calc = &calc_;
-    ctx.device_count = 2;
-    ShmRegion region = ShmRegion::create_inprocess(2, 1024);
-    TaskScheduler sched(region.view());
-    sched.report_task_fault(0, /*fatal=*/true);
-    auto policy = SchedulingPolicy::make(kind);
-    policy->begin_batch(ctx);
-    for (const auto& t : tasks) {
-      const int d = policy->assign(t, sched);
-      EXPECT_NE(d, 0) << to_string(kind);
-      if (d >= 0) sched.sche_free(d);
-    }
-    EXPECT_EQ(sched.history(0), 0) << to_string(kind);
+  ShmRegion region = ShmRegion::create_inprocess(2, 1024);
+  TaskScheduler sched(region.view());
+  sched.report_task_fault(0, /*fatal=*/true);
+  auto policy = SchedulingPolicy::make(SchedulingPolicyKind::dynamic_min_load);
+  for (const auto& t : tasks) {
+    const int d = policy->assign(t, sched);
+    EXPECT_EQ(d, 1);
+    if (d >= 0) sched.sche_free(d);
   }
+  EXPECT_EQ(sched.history(0), 0);
 }
-
-// ------------------------------------- bitwise identity across policies
-
-struct IdentityCase {
-  ExecutionMode mode;
-  TaskGranularity granularity;
-  int ranks;
-  int devices;
-};
-
-class PolicyIdentity : public SchedPolicyTest,
-                       public ::testing::WithParamInterface<IdentityCase> {};
-
-TEST_P(PolicyIdentity, AllPoliciesProduceBitwiseIdenticalSpectra) {
-  const auto [mode, granularity, ranks, devices] = GetParam();
-  const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
-                                            {0.8, 1.0, 0.0, 1}};
-  HybridConfig cfg;
-  cfg.ranks = ranks;
-  cfg.devices = devices;
-  cfg.granularity = granularity;
-  cfg.mode = mode;
-  // Deep queues: no task ever overflows to QAGS, so the GPU/CPU split —
-  // the only bit-visible scheduling effect — is identical across policies.
-  cfg.max_queue_length = 32;
-
-  std::vector<HybridResult> results;
-  for (const auto kind : kAllPolicies) {
-    HybridConfig c = cfg;
-    c.scheduling_policy = kind;
-    results.push_back(HybridDriver(calc_, c).run(points));
-    const HybridResult& res = results.back();
-    // The latency histogram clocks every task exactly once.
-    EXPECT_EQ(res.sched.policy, kind);
-    EXPECT_EQ(res.sched.decisions,
-              static_cast<std::int64_t>(res.tasks_total));
-    EXPECT_EQ(res.scheduling.gpu_allocations + res.scheduling.cpu_fallbacks,
-              static_cast<std::int64_t>(res.tasks_total));
-    EXPECT_GT(res.sched.latency_ns_total, 0);
-    EXPECT_GT(res.sched.median_ns(), 0.0);
-    // With deep queues every task lands on a GPU.
-    EXPECT_EQ(res.scheduling.cpu_fallbacks, 0) << to_string(kind);
-  }
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[0].spectra.size(), results[r].spectra.size());
-    EXPECT_EQ(results[0].tasks_total, results[r].tasks_total);
-    for (std::size_t p = 0; p < results[0].spectra.size(); ++p)
-      for (std::size_t b = 0; b < results[0].spectra[p].bin_count(); ++b)
-        ASSERT_EQ(results[0].spectra[p][b], results[r].spectra[p][b])
-            << to_string(kAllPolicies[r]) << " point " << p << " bin " << b;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, PolicyIdentity,
-    ::testing::Values(
-        IdentityCase{ExecutionMode::synchronous, TaskGranularity::ion, 2, 2},
-        IdentityCase{ExecutionMode::synchronous, TaskGranularity::level, 2, 2},
-        IdentityCase{ExecutionMode::pipelined, TaskGranularity::ion, 4, 2},
-        IdentityCase{ExecutionMode::pipelined, TaskGranularity::level, 2, 3},
-        IdentityCase{ExecutionMode::pipelined, TaskGranularity::ion, 1, 1}));
 
 TEST_F(SchedPolicyTest, ServicePathIdenticalSpectraAndSurfacesSchedStats) {
   const std::vector<apec::GridPoint> points{{0.4, 1.0, 0.0, 0},
                                             {0.9, 1.0, 0.0, 1}};
-  std::vector<std::vector<apec::Spectrum>> spectra;
-  for (const auto kind : kAllPolicies) {
-    service::ServiceConfig cfg;
-    cfg.hybrid.ranks = 2;
-    cfg.hybrid.devices = 2;
-    cfg.hybrid.max_queue_length = 32;
-    cfg.hybrid.scheduling_policy = kind;
-    service::SpectralService svc(calc_, cfg);
-    service::ServiceReply reply = svc.submit(points).wait();
-    EXPECT_EQ(reply.stats.sched.policy, kind);
-    EXPECT_GT(reply.stats.sched.decisions, 0);
-    EXPECT_GT(reply.stats.sched.median_ns(), 0.0);
-    spectra.push_back(std::move(reply.spectra));
-  }
-  for (std::size_t r = 1; r < spectra.size(); ++r) {
-    ASSERT_EQ(spectra[0].size(), spectra[r].size());
-    for (std::size_t p = 0; p < spectra[0].size(); ++p)
-      for (std::size_t b = 0; b < spectra[0][p].bin_count(); ++b)
-        ASSERT_EQ(spectra[0][p][b], spectra[r][p][b])
-            << to_string(kAllPolicies[r]) << " point " << p << " bin " << b;
-  }
+  service::ServiceConfig cfg;
+  cfg.hybrid.ranks = 2;
+  cfg.hybrid.devices = 2;
+  cfg.hybrid.max_queue_length = 32;
+  service::SpectralService svc(calc_, cfg);
+  const service::ServiceReply reply = svc.submit(points).wait();
+  EXPECT_GT(reply.stats.sched.decisions, 0);
+  EXPECT_GT(reply.stats.sched.median_ns(), 0.0);
+  // The service threads the same decision site as a direct run, so a cold
+  // request reproduces HybridDriver bit for bit.
+  const HybridResult direct = HybridDriver(calc_, cfg.hybrid).run(points);
+  EXPECT_EQ(reply.stats.sched.decisions,
+            static_cast<std::int64_t>(direct.tasks_total));
+  ASSERT_EQ(reply.spectra.size(), direct.spectra.size());
+  for (std::size_t p = 0; p < direct.spectra.size(); ++p)
+    for (std::size_t b = 0; b < direct.spectra[p].bin_count(); ++b)
+      ASSERT_EQ(reply.spectra[p][b], direct.spectra[p][b])
+          << "point " << p << " bin " << b;
 }
 
 TEST_F(SchedPolicyTest, RankStartHookStagedContentionKeepsExactlyOnce) {
   // One device, one-slot queue, rank 1 held until rank 0 has claimed work:
-  // both ranks then contend on the same queue, so hybrid_static_steal's
-  // directed reservations fail under pressure and re-route dynamically.
-  // Accounting must stay exactly-once regardless.
+  // both ranks then contend on the same queue, so allocations overflow to
+  // the CPU under pressure. Accounting must stay exactly-once regardless.
   const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
                                             {0.5, 1.0, 0.0, 1},
                                             {0.7, 1.0, 0.0, 2},
                                             {0.9, 1.0, 0.0, 3}};
-  for (const auto kind : kAllPolicies) {
-    HybridConfig cfg;
-    cfg.ranks = 2;
-    cfg.devices = 1;
-    cfg.max_queue_length = 1;
-    cfg.scheduling_policy = kind;
-    const std::int64_t total = static_cast<std::int64_t>(points.size());
-    cfg.rank_start_hook = [&](int rank, const PointWorkQueue& queue) {
-      if (rank == 0) return;
-      while (queue.remaining() == total) std::this_thread::yield();
-    };
-    const HybridResult res = HybridDriver(calc_, cfg).run(points);
-    EXPECT_EQ(res.spectra.size(), points.size());
-    EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total))
-        << to_string(kind);
-    EXPECT_EQ(res.scheduling.gpu_allocations + res.scheduling.cpu_fallbacks,
-              static_cast<std::int64_t>(res.tasks_total))
-        << to_string(kind);
-    std::int64_t history_total = 0;
-    for (auto h : res.history) history_total += h;
-    EXPECT_EQ(history_total, res.scheduling.gpu_allocations);
-  }
+  HybridConfig cfg;
+  cfg.ranks = 2;
+  cfg.devices = 1;
+  cfg.max_queue_length = 1;
+  const std::int64_t total = static_cast<std::int64_t>(points.size());
+  cfg.rank_start_hook = [&](int rank, const PointWorkQueue& queue) {
+    if (rank == 0) return;
+    while (queue.remaining() == total) std::this_thread::yield();
+  };
+  const HybridResult res = HybridDriver(calc_, cfg).run(points);
+  EXPECT_EQ(res.spectra.size(), points.size());
+  EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
+  EXPECT_EQ(res.scheduling.gpu_allocations + res.scheduling.cpu_fallbacks,
+            static_cast<std::int64_t>(res.tasks_total));
+  std::int64_t history_total = 0;
+  for (auto h : res.history) history_total += h;
+  EXPECT_EQ(history_total, res.scheduling.gpu_allocations);
 }
 
 // -------------------------------------- randomized seeded task streams
 
 TEST_F(SchedPolicyTest, RandomizedStreamsKeepInvariants) {
   // ~200 seeded iterations over random device counts, queue caps, thread
-  // counts, policies and quarantine choices. Invariants after each run:
+  // counts and quarantine choices. Invariants after each run:
   //   * every task gets exactly one verdict (no lost / duplicated tasks);
   //   * every load drains back to zero (each reservation freed once);
   //   * the latency histogram counts exactly the tasks processed;
@@ -373,7 +217,6 @@ TEST_F(SchedPolicyTest, RandomizedStreamsKeepInvariants) {
     const int n_dev = 1 + static_cast<int>(rng() % 4);
     const int n_threads = 1 + static_cast<int>(rng() % 4);
     const std::int32_t lmax = 1 + static_cast<std::int32_t>(rng() % 4);
-    const auto kind = kAllPolicies[iter % 3];
     const int quarantined =
         (n_dev > 1 && rng() % 3 == 0) ? static_cast<int>(rng() % n_dev) : -1;
 
@@ -382,11 +225,8 @@ TEST_F(SchedPolicyTest, RandomizedStreamsKeepInvariants) {
       TaskScheduler admin(region.view());
       admin.report_task_fault(quarantined, /*fatal=*/true);
     }
-    BatchContext ctx;
-    ctx.calc = &calc_;
-    ctx.device_count = n_dev;
-    auto policy = SchedulingPolicy::make(kind);
-    policy->begin_batch(ctx);
+    auto policy =
+        SchedulingPolicy::make(SchedulingPolicyKind::dynamic_min_load);
 
     std::atomic<std::int64_t> gpu_verdicts{0};
     std::atomic<std::int64_t> cpu_verdicts{0};
@@ -418,12 +258,12 @@ TEST_F(SchedPolicyTest, RandomizedStreamsKeepInvariants) {
     for (auto& th : threads) th.join();
 
     EXPECT_FALSE(quarantine_violated.load(std::memory_order_relaxed))
-        << "iter " << iter << " policy " << to_string(kind);
+        << "iter " << iter;
     EXPECT_EQ(gpu_verdicts.load(std::memory_order_relaxed) +
                   cpu_verdicts.load(std::memory_order_relaxed),
               static_cast<std::int64_t>(expected_tasks))
         << "iter " << iter;
-    const SchedulingStats stats = read_scheduling_stats(region.view(), kind);
+    const SchedulingStats stats = read_scheduling_stats(region.view());
     EXPECT_EQ(stats.decisions, static_cast<std::int64_t>(expected_tasks))
         << "iter " << iter;
     for (int d = 0; d < n_dev; ++d)
@@ -441,14 +281,16 @@ TEST_F(SchedPolicyTest, RandomizedStreamsKeepInvariants) {
 
 TEST(SchedulerAutotunerRace, RetuneRacesAllocAssignScans) {
   // Regression pin for the atomic max_queue_length fix: the autotuner
-  // retunes the cap while ranks run sche_alloc scans and directed
-  // sche_assign reservations. Non-atomic access here is a TSan report (the
-  // sanitizer CI runs this suite); the assertions keep the scheduler's
-  // accounting invariants on top. The tuner only grows the cap so in-flight
-  // reservations can never exceed the bound in force at free time.
+  // retunes the cap while ranks run min-load scans, both through sche_alloc
+  // directly and through the policy's assign(), and free what they took.
+  // Non-atomic access here is a TSan report (the sanitizer CI runs this
+  // suite); the assertions keep the scheduler's accounting invariants on
+  // top. The tuner only grows the cap so in-flight reservations can never
+  // exceed the bound in force at free time.
   constexpr int kWorkers = 4;
   constexpr int kIterations = 3000;
   ShmRegion region = ShmRegion::create_inprocess(4, 4);
+  auto policy = SchedulingPolicy::make(SchedulingPolicyKind::dynamic_min_load);
   std::atomic<int> workers_done{0};
   std::thread tuner([&] {
     TaskScheduler sched(region.view());
@@ -461,13 +303,14 @@ TEST(SchedulerAutotunerRace, RetuneRacesAllocAssignScans) {
   std::vector<std::thread> workers;
   std::atomic<std::int64_t> completed{0};
   for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
+    workers.emplace_back([&] {
       TaskScheduler sched(region.view());
+      const SpectralTask task;
       for (int i = 0; i < kIterations; ++i) {
-        const int dynamic_dev = sched.sche_alloc();
-        if (dynamic_dev >= 0) sched.sche_free(dynamic_dev);
-        const int directed = sched.sche_assign(w);
-        if (directed >= 0) sched.sche_free(directed);
+        const int alloc_dev = sched.sche_alloc();
+        const int assign_dev = policy->assign(task, sched);
+        if (assign_dev >= 0) sched.sche_free(assign_dev);
+        if (alloc_dev >= 0) sched.sche_free(alloc_dev);
         completed.fetch_add(1, std::memory_order_relaxed);
       }
       workers_done.fetch_add(1, std::memory_order_release);

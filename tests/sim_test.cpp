@@ -90,7 +90,7 @@ TEST(HybridSim, ConservesTasks) {
 
 TEST(HybridSim, SingleRankSingleDeviceIsAnalytic) {
   // One rank, one device, no jitter: every task runs prep then GPU service
-  // with an empty queue; makespan = n * (prep + gpu + sched_overhead).
+  // with an empty queue; makespan = n * (prep + gpu + sched_overhead_s).
   HybridSimConfig c = small_config();
   c.ranks = 1;
   c.total_tasks = 10;

@@ -8,7 +8,6 @@
 
 #include "sim/hybrid_sim.h"
 #include "vgpu/buffer_pool.h"
-#include "vgpu/reduce_kernel.h"
 #include "vgpu/stream.h"
 
 namespace {
@@ -221,33 +220,6 @@ TEST(BufferPool, SteadyStateNeverAllocates) {
   const auto st = pool.stats();
   EXPECT_EQ(st.allocations, 1u);
   EXPECT_EQ(st.reuses, 49u);
-}
-
-TEST(ReduceKernel, SumsExactly) {
-  Device dev(tesla_c2075(), 0);
-  const std::size_t n = 1009;  // prime: exercises ragged strides
-  std::vector<double> host(n);
-  double expected = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    host[i] = 0.5 + static_cast<double>(i % 17);
-    expected += host[i];
-  }
-  DeviceBuffer data = dev.alloc(n * sizeof(double));
-  dev.copy_to_device(data, host.data(), n * sizeof(double));
-  EXPECT_NEAR(gpu_reduce_sum(dev, data, n), expected, 1e-9 * expected);
-  // The scalar comes home over PCIe, not the array.
-  EXPECT_EQ(dev.stats().bytes_d2h, sizeof(double));
-}
-
-TEST(ReduceKernel, SmallAndEmptyInputs) {
-  Device dev(tesla_c2075(), 0);
-  EXPECT_DOUBLE_EQ(gpu_reduce_sum(dev, DeviceBuffer(), 0), 0.0);
-  std::vector<double> one{42.0};
-  DeviceBuffer data = dev.alloc(sizeof(double));
-  dev.copy_to_device(data, one.data(), sizeof(double));
-  EXPECT_DOUBLE_EQ(gpu_reduce_sum(dev, data, 1), 42.0);
-  EXPECT_THROW(gpu_reduce_sum(dev, data, 2), std::out_of_range);
-  EXPECT_THROW(gpu_reduce_sum(dev, data, 1, 0), std::invalid_argument);
 }
 
 }  // namespace

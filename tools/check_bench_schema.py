@@ -4,13 +4,11 @@
 Dispatches on the record's "schema" key:
 
   hspec-bench-kernel-v1   — bench/micro_kernel_roofline
-  hspec-bench-service-v1  — bench/service_throughput
-  hspec-bench-sched-v1    — bench/sched_overhead
   hspec-hlint-v3          — tools/hlint --json findings report
 
-The bench records are consumed by the CI bench-smoke job and baselined at
-the repo root (BENCH_kernel.json, BENCH_service.json, BENCH_sched.json);
-the hlint report is validated and archived by the CI lint job.
+The kernel record is consumed by the CI bench-smoke job and baselined at
+the repo root (BENCH_kernel.json); the hlint report is validated and
+archived by the CI lint job.
 
 Standard library only. Exit 0 when the file conforms, 1 with a message per
 defect otherwise.
@@ -48,54 +46,6 @@ SCHEMAS = {
             "speedup",
             "host_fma_gflops",
             "model_bytes_per_flop",
-        ],
-        "true_flags": ["bitwise_identical"],
-    },
-    "hspec-bench-service-v1": {
-        "required": {
-            "schema": str,
-            "clients": int,
-            "requests_per_client": int,
-            "pool_points": int,
-            "requests_per_s": float,
-            "cache_hit_rate": float,
-            "queue_wait_p50_s": float,
-            "queue_wait_p99_s": float,
-            "batches": int,
-            "coalesced_batches": int,
-            "max_batch_points": int,
-            "max_batch_requests": int,
-            "cache_entries": int,
-            "cache_evictions": int,
-            "exact_hit_bitwise": bool,
-        },
-        "positive": [
-            "clients",
-            "requests_per_client",
-            "pool_points",
-            "requests_per_s",
-            "batches",
-            "max_batch_points",
-        ],
-        "true_flags": ["exact_hit_bitwise"],
-    },
-    "hspec-bench-sched-v1": {
-        "required": {
-            "schema": str,
-            "points": int,
-            "repeats": int,
-            "ranks": int,
-            "devices": int,
-            "bitwise_identical": bool,
-            "hybrid_over_dynamic_median": float,
-            "policies": list,
-        },
-        "positive": [
-            "points",
-            "repeats",
-            "ranks",
-            "devices",
-            "hybrid_over_dynamic_median",
         ],
         "true_flags": ["bitwise_identical"],
     },
@@ -159,52 +109,6 @@ def check(path):
     for key in spec["true_flags"]:
         if not record[key]:
             errors.append("%s: %s must be true" % (path, key))
-    if schema_name == "hspec-bench-service-v1":
-        if not 0.0 <= record["cache_hit_rate"] <= 1.0:
-            errors.append("%s: cache_hit_rate must be in [0, 1]" % path)
-        if record["queue_wait_p50_s"] < 0 or record["queue_wait_p99_s"] < 0:
-            errors.append("%s: queue-wait quantiles must be >= 0" % path)
-        if record["queue_wait_p99_s"] < record["queue_wait_p50_s"]:
-            errors.append("%s: queue_wait_p99_s below p50" % path)
-    if schema_name == "hspec-bench-sched-v1":
-        names = []
-        for i, entry in enumerate(record["policies"]):
-            if not isinstance(entry, dict):
-                errors.append("%s: policies[%d] must be an object" % (path, i))
-                continue
-            for key in ("policy", "decisions", "tasks_total", "cpu_fallbacks"):
-                if key not in entry:
-                    errors.append(
-                        "%s: policies[%d] missing key %r" % (path, i, key)
-                    )
-            for key in ("median_ns", "p90_ns", "mean_ns", "load_imbalance"):
-                value = entry.get(key)
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    errors.append(
-                        "%s: policies[%d].%s must be a number" % (path, i, key)
-                    )
-                elif value <= 0:
-                    errors.append(
-                        "%s: policies[%d].%s must be positive" % (path, i, key)
-                    )
-            if entry.get("decisions") != entry.get("tasks_total"):
-                errors.append(
-                    "%s: policies[%d] decisions != tasks_total (the latency"
-                    " histogram must clock every task exactly once)"
-                    % (path, i)
-                )
-            names.append(entry.get("policy"))
-        expected = [
-            "dynamic_min_load",
-            "static_cost_partition",
-            "hybrid_static_steal",
-        ]
-        if sorted(n for n in names if n) != sorted(expected):
-            errors.append(
-                "%s: policies must cover %s exactly" % (path, expected)
-            )
     if schema_name == "hspec-hlint-v3":
         for section in ("rule_counts", "pass_counts"):
             for rule, count in record[section].items():
