@@ -3,9 +3,11 @@
 // mode is supported in the task scheduler ... some asynchronous task
 // queuing mechanism must be introduced to keep CPUs busy."
 //
-// Both modes run the actual hybrid driver on the actual RRC integrals; the
-// spectra are bit-identical, only the virtual device timeline and the PCIe
-// byte counts differ. Two overlap regimes show up:
+// Both modes run the actual hybrid driver on the actual RRC integrals,
+// through the one task executor (synchronous mode is its blocking
+// configuration: depth 1, edges uploaded per task); the spectra are
+// bit-identical, only the virtual device timeline and the PCIe byte counts
+// differ. Two overlap regimes show up:
 //
 //  * Fermi (copy/compute overlap + resident edge cache): the win is the
 //    per-task H2D that no longer exists plus the D2H readback hiding under

@@ -44,8 +44,8 @@ int main() {
   const auto result = driver.run({pt});
   const apec::Spectrum& hybrid = result.spectra.at(0);
 
-  // Same workload once more through the paper's synchronous executor, to
-  // put the pipelined device timeline and PCIe traffic in context.
+  // Same workload once more in synchronous mode (the paper's blocking
+  // loop), to put the pipelined device timeline and PCIe traffic in context.
   core::HybridConfig sync_cfg = cfg;
   sync_cfg.mode = core::ExecutionMode::synchronous;
   const auto sync_result = core::HybridDriver(hybrid_calc, sync_cfg).run({pt});

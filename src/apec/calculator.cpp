@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "apec/continuum.h"
 #include "apec/level_population.h"
@@ -18,10 +19,18 @@ util::PerCm3 PointPopulations::ion_density(int z, int j) const {
                     atomic::cie_fraction(z, j, kT_keV));
 }
 
+void validate_point(const GridPoint& point) {
+  if (!(std::isfinite(point.kT_keV) && point.kT_keV > 0.0))
+    throw std::invalid_argument("grid point: kT must be finite and positive, "
+                                "got " + std::to_string(point.kT_keV));
+  if (!(std::isfinite(point.ne_cm3) && point.ne_cm3 > 0.0))
+    throw std::invalid_argument("grid point: ne must be finite and positive, "
+                                "got " + std::to_string(point.ne_cm3));
+}
+
 PointPopulations solve_populations(const atomic::AtomicDatabase& db,
                                    const GridPoint& point) {
-  if (point.ne_cm3 <= 0.0)
-    throw std::invalid_argument("solve_populations: ne must be positive");
+  validate_point(point);
   // ne = n_H * sum_z ab_z * <q>_z(kT)  (one pass; CIE fractions do not
   // depend on density in this model).
   double electrons_per_h = 0.0;

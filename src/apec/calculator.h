@@ -65,8 +65,14 @@ struct PointPopulations {
   util::PerCm3 ne_cm3{};
 };
 
+/// O(1) admission check for a grid point: throws std::invalid_argument
+/// unless kT and ne are both finite and positive. NaN passes every `<= 0`
+/// test, so the check is written as "finite and > 0".
+void validate_point(const GridPoint& point);
+
 /// Solve the CIE populations for a grid point: finds n_H such that the
-/// free-electron count of all charge states reproduces ne.
+/// free-electron count of all charge states reproduces ne. Rejects what
+/// validate_point rejects.
 PointPopulations solve_populations(const atomic::AtomicDatabase& db,
                                    const GridPoint& point);
 

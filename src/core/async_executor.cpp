@@ -4,25 +4,25 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rrc/rrc.h"
-#include "rrc/rrc_batch.h"
+#include "core/gpu_task_executor.h"
 #include "util/dcheck.h"
 #include "util/fault.h"
-#include "vgpu/integr_kernel.h"
 
 namespace hspec::core {
 
 AsyncGpuExecutor::AsyncGpuExecutor(const apec::SpectrumCalculator& calc,
                                    const std::vector<DevicePipeline*>& pipelines,
                                    TaskScheduler& scheduler,
-                                   const CpuTaskExecutor& cpu, int depth,
+                                   const CpuTaskExecutor& cpu,
+                                   ExecutionMode mode, int depth,
                                    int max_attempts, bool recovery,
                                    FaultStats* fault_stats)
     : calc_(&calc),
       pipelines_(pipelines),
       scheduler_(&scheduler),
       cpu_(&cpu),
-      depth_(depth),
+      mode_(mode),
+      depth_(mode == ExecutionMode::synchronous ? 1 : depth),
       max_attempts_(max_attempts),
       recovery_(recovery),
       fstats_(fault_stats),
@@ -50,10 +50,9 @@ void AsyncGpuExecutor::submit(const SpectralTask& task,
   slot.target = &spectrum;
   slot.free_device = device;
 
-  // Closed-form / non-emitting ions never launch kernels (same early-out as
-  // the synchronous executor); they still travel through the FIFO so the
-  // accumulation order matches the synchronous driver exactly.
-  const bool closed_form = task.ion.is_free_free() || !task.ion.emits_rrc();
+  // Closed-form / non-emitting ions never launch kernels; they still travel
+  // through the FIFO so the accumulation order is the submission order.
+  const bool closed_form = task.closed_form();
   if (device >= 0 && !closed_form) {
     // Bounded retry-with-requeue: a faulted attempt returns its buffers,
     // frees its queue slot, reports the failure, and asks the scheduler for
@@ -82,7 +81,6 @@ void AsyncGpuExecutor::submit(const SpectralTask& task,
         }
         slot.free_device = -1;
         slot.degraded = true;
-        ++stats_.host_tasks;
         if (fstats_ != nullptr) {
           ++fstats_->cpu_fallbacks;
           ++fstats_->cpu_completed;
@@ -99,10 +97,9 @@ void AsyncGpuExecutor::submit(const SpectralTask& task,
       slot.degraded = true;
       if (fstats_ != nullptr) ++fstats_->cpu_fallbacks;
     }
-    ++stats_.host_tasks;
     if (fstats_ != nullptr) {
-      // Closed-form tasks that hold a device slot mirror the synchronous
-      // executor's accounting (its early-out counts as a GPU completion).
+      // A closed-form task that holds a device slot counts as a GPU
+      // completion, as execute_task_on_gpu's early-out does.
       if (device >= 0)
         ++fstats_->gpu_completed;
       else
@@ -110,6 +107,8 @@ void AsyncGpuExecutor::submit(const SpectralTask& task,
     }
   }
   fifo_.push_back(std::move(slot));
+  // The paper's blocking loop: the task finishes before the rank moves on.
+  if (mode_ == ExecutionMode::synchronous) drain_all();
 }
 
 void AsyncGpuExecutor::submit_gpu(Slot& slot, int device) {
@@ -133,17 +132,7 @@ void AsyncGpuExecutor::submit_gpu(Slot& slot, int device) {
 
   const apec::EnergyGrid& grid = calc_->grid();
   const std::size_t n_bins = grid.bin_count();
-
-  const auto levels = calc_->database().levels_for(slot.task.ion);
-  const std::size_t level_begin =
-      slot.task.granularity == TaskGranularity::level ? slot.task.level_index
-                                                      : 0;
-  const std::size_t level_end =
-      slot.task.granularity == TaskGranularity::level
-          ? slot.task.level_index + 1
-          : levels.size();
-  if (level_end > levels.size())
-    throw std::out_of_range("AsyncGpuExecutor: level index out of range");
+  const std::size_t edge_bytes = (n_bins + 1) * sizeof(double);
 
   slot.gpu = true;
   slot.emi = pipe.pool->acquire(n_bins * sizeof(double));
@@ -155,53 +144,25 @@ void AsyncGpuExecutor::submit_gpu(Slot& slot, int device) {
     slot.staging.resize(n_bins);
   }
 
-  // The bin edges are immutable for the whole run: lease the resident copy
-  // instead of paying the (n_bins + 1) * 8-byte H2D transfer per task.
-  const vgpu::DeviceBuffer& edges_dev =
-      pipe.cache->lease(grid.edges().data(), (n_bins + 1) * sizeof(double));
-
   vgpu::Stream& stream = *lane.streams[lane.next_stream];
   lane.next_stream = (lane.next_stream + 1) % lane.streams.size();
 
-  const util::PerCm3 n_rec =
-      slot.pops->ion_density(slot.task.ion.z, slot.task.ion.charge);
-  const apec::IntegrationPolicy& pol = calc_->options().integration;
-  vgpu::IntegrLaunchConfig cfg;
-  cfg.method = pol.kernel;
-  cfg.method_param = pol.kernel_param;
-
-  // One arena reset per task (vgpu/arena.h lifetime rule): the eager stream
-  // launches below are done with their scratch by the time they return.
-  if (pol.batch) lane.arena.reset();
-
-  for (std::size_t li = level_begin; li < level_end; ++li) {
-    rrc::RrcChannel ch;
-    ch.recombining_charge = slot.task.ion.charge;
-    ch.level = levels[li];
-    ch.gaunt_correction = calc_->options().gaunt_correction;
-    rrc::PlasmaState plasma{slot.pops->kT_keV, slot.pops->ne_cm3, n_rec};
-    // Algorithm 2: the level integrates from its own threshold upward. The
-    // first launch overwrites the recycled emi buffer (no memset upload);
-    // later launches accumulate, exactly as the synchronous path does on a
-    // zeroed buffer.
-    cfg.lower_cutoff = ch.level.binding_keV;
-    cfg.accumulate = li != level_begin;
-    if (pol.batch) {
-      const rrc::RrcBatchIntegrand bf(ch, plasma);
-      vgpu::gpu_integr_edges_stream(stream, edges_dev, n_bins, bf, slot.emi,
-                                    lane.arena, cfg);
-    } else {
-      // Kernel edge: the integrator hands us raw abscissae; wrap on entry
-      // and unwrap the typed emissivity into the device accumulation buffer.
-      auto f = [&](double e) {
-        return rrc::rrc_power_density(ch, plasma, util::KeV{e}).value();
-      };
-      vgpu::gpu_integr_edges_stream(stream, edges_dev, n_bins, f, slot.emi,
-                                    cfg);
-    }
-    ++stats_.kernels;
+  // The bin edges are immutable for the executor's lifetime: pipelined
+  // mode leases the resident copy instead of paying the (n_bins + 1) *
+  // 8-byte H2D per task; synchronous mode uploads them per task, as the
+  // paper's blocking loop did.
+  const vgpu::DeviceBuffer* edges_dev = nullptr;
+  if (mode_ == ExecutionMode::pipelined) {
+    edges_dev = &pipe.cache->lease(grid.edges().data(), edge_bytes);
+  } else {
+    slot.edges = pipe.pool->acquire(edge_bytes);
+    stream.copy_to_device_async(slot.edges, grid.edges().data(), edge_bytes);
+    edges_dev = &slot.edges;
   }
-  if (level_begin == level_end) {
+
+  if (integrate_task_levels(*calc_, slot.task, *slot.pops,
+                            {&stream, edges_dev, &slot.emi, {}},
+                            lane.arena) == 0) {
     // No levels => nothing was written; drain still adds the staging array.
     std::fill(slot.staging.begin(), slot.staging.end(), 0.0);
   } else {
@@ -221,12 +182,12 @@ void AsyncGpuExecutor::submit_gpu(Slot& slot, int device) {
 }
 
 void AsyncGpuExecutor::abort_slot(Slot& slot, int device) noexcept {
-  // Undo the partial submit: the emi buffer goes back to the pool and the
+  // Undo the partial submit: the device buffers go back to the pool and the
   // staging array to the recycle list. lane.in_flight needs no undo — it is
   // incremented only after the last fallible operation in submit_gpu.
-  if (slot.emi.valid())
-    pipelines_[static_cast<std::size_t>(device)]->pool->release(
-        std::move(slot.emi));
+  vgpu::BufferPool& pool = *pipelines_[static_cast<std::size_t>(device)]->pool;
+  pool.release(std::move(slot.edges));
+  pool.release(std::move(slot.emi));
   if (!slot.staging.empty()) staging_pool_.push_back(std::move(slot.staging));
   slot.staging.clear();
   slot.gpu = false;
@@ -237,15 +198,10 @@ void AsyncGpuExecutor::drain_front() {
   fifo_.pop_front();
 
   if (slot.gpu) {
-    apec::Spectrum& out = *slot.target;
-    for (std::size_t b = 0; b < slot.staging.size(); ++b)
-      out[b] += slot.staging[b];
-    // Line emission stays host-side on every path; in level granularity the
-    // ion's lines belong to the level-0 task so they are added exactly once.
-    if (slot.task.granularity == TaskGranularity::ion ||
-        slot.task.level_index == 0)
-      calc_->accumulate_ion_lines(slot.task.ion, *slot.pops, out);
+    accumulate_task_result(*calc_, slot.task, *slot.pops, slot.staging,
+                           *slot.target);
     DevicePipeline& pipe = *pipelines_[static_cast<std::size_t>(slot.free_device)];
+    pipe.pool->release(std::move(slot.edges));
     pipe.pool->release(std::move(slot.emi));
     staging_pool_.push_back(std::move(slot.staging));
     Lane& lane = lanes_[static_cast<std::size_t>(slot.free_device)];
@@ -259,7 +215,7 @@ void AsyncGpuExecutor::drain_front() {
     execute_task_degraded(*calc_, slot.task, *slot.pops, *slot.target);
   } else if (slot.free_device >= 0) {
     // Scheduler sent the task to a device but it has a closed form / no RRC
-    // emission: the synchronous executor's early-out, deferred to its FIFO
+    // emission: execute_task_on_gpu's early-out, deferred to its FIFO
     // position.
     calc_->accumulate_ion(slot.task.ion, *slot.pops, *slot.target);
   } else {

@@ -1,27 +1,32 @@
 #pragma once
-// Asynchronous pipelined task execution — the paper's §V remedy built out:
-// "Only synchronous mode is supported in the task scheduler ... some
-// asynchronous task queuing mechanism must be introduced to keep CPUs busy."
+// The one task executor — the paper's §V remedy built out: "Only
+// synchronous mode is supported in the task scheduler ... some asynchronous
+// task queuing mechanism must be introduced to keep CPUs busy."
 //
-// The synchronous driver blocks the rank on every GPU task and re-uploads
-// the identical bin-edge array each time. This executor instead
+// Every task of every batch runs through AsyncGpuExecutor::submit, whatever
+// the ExecutionMode; the mode only configures it. One task type and one
+// place that picks its implementation: the device kernels on a stream, the
+// kernel-equivalent host path (degraded), or QAGS (full queues).
 //
-//  * routes every GPU task through per-rank vgpu::Streams (`pipeline_depth`
-//    per device), so the H2D-free kernel chain and D2H readback of
-//    consecutive tasks overlap per the device's concurrency rules (copy /
-//    compute overlap on Fermi, up to 32-wide Hyper-Q on Kepler);
-//  * leases the bin edges from the device's ResidentCache — one upload per
-//    device for the whole run instead of one per task;
-//  * double-buffers the emissivity accumulator: each in-flight task owns an
-//    emi device buffer plus a host staging array, recycled through the
-//    device's BufferPool as tasks drain.
+//  * pipelined (production): `pipeline_depth` streams per rank per device,
+//    so the H2D-free kernel chain and D2H readback of consecutive tasks
+//    overlap per the device's concurrency rules (copy / compute overlap on
+//    Fermi, up to 32-wide Hyper-Q on Kepler); the bin edges are leased from
+//    the device's ResidentCache — one upload per device for the executor's
+//    lifetime instead of one per task; and each in-flight task owns an emi
+//    device buffer plus a host staging array, recycled through the
+//    device's BufferPool as tasks drain;
+//  * synchronous (the paper's blocking loop, kept as the ablation
+//    baseline): depth 1, the bin edges uploaded per task from the pool over
+//    the stream (no resident lease), and every task drained before submit
+//    returns, so a rank holds at most one device slot.
 //
 // Ordering contract: results drain through one per-rank FIFO in submission
 // order, and CPU-fallback / closed-form tasks travel through the same FIFO,
-// so the floating-point accumulation order is exactly the synchronous
-// driver's — spectra are bit-identical between the two modes. (On the
-// virtual GPU all work executes eagerly on the host; deferring the
-// *accumulation* costs nothing real and keeps the virtual timeline honest.)
+// so the floating-point accumulation order is the same in both modes —
+// spectra are bit-identical between them. (On the virtual GPU all work
+// executes eagerly on the host; deferring the *accumulation* costs nothing
+// real and keeps the virtual timeline honest.)
 
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include "apec/calculator.h"
 #include "apec/spectrum.h"
 #include "core/cpu_task_executor.h"
+#include "core/hybrid.h"
 #include "core/scheduler.h"
 #include "core/task.h"
 #include "vgpu/arena.h"
@@ -63,31 +69,32 @@ struct DevicePipeline {
         pool(&buffer_pool) {}
 };
 
-/// One rank's pipelined executor. Not thread-safe: each rank owns one.
+/// One rank's task executor. Not thread-safe: each rank owns one.
 class AsyncGpuExecutor {
  public:
   struct Stats {
-    std::uint64_t gpu_tasks = 0;    ///< tasks that ran kernels on a device
-    std::uint64_t host_tasks = 0;   ///< closed-form + CPU-fallback tasks
-    std::uint64_t kernels = 0;      ///< async kernel launches issued
+    std::uint64_t gpu_tasks = 0;    ///< tasks that ran on a device stream
     std::uint64_t max_in_flight = 0;  ///< pipeline high-water mark (GPU tasks)
   };
 
-  /// `pipelines[d]` must outlive the executor; `depth` is the number of
-  /// in-flight tasks (and streams) this rank keeps per device.
-  /// `max_attempts` bounds device attempts per task before it degrades to
-  /// the host; `recovery` arms the health reporting (set when a FaultPlan
-  /// is installed, so the fault-free hot path pays nothing); `fault_stats`,
-  /// when non-null, receives this rank's recovery accounting.
+  /// `pipelines[d]` must outlive the executor. `mode` configures it (see
+  /// the file comment); `depth` is the number of in-flight tasks (and
+  /// streams) this rank keeps per device when pipelined — synchronous mode
+  /// always runs at depth 1. `max_attempts` bounds device attempts per task
+  /// before it degrades to the host; `recovery` arms the health reporting
+  /// (set when a FaultPlan is installed, so the fault-free hot path pays
+  /// nothing); `fault_stats`, when non-null, receives this rank's recovery
+  /// accounting.
   AsyncGpuExecutor(const apec::SpectrumCalculator& calc,
                    const std::vector<DevicePipeline*>& pipelines,
                    TaskScheduler& scheduler, const CpuTaskExecutor& cpu,
-                   int depth = 2, int max_attempts = 3, bool recovery = false,
-                   FaultStats* fault_stats = nullptr);
+                   ExecutionMode mode, int depth, int max_attempts,
+                   bool recovery, FaultStats* fault_stats);
 
-  /// Queue one task. `device` is the scheduler's verdict: >= 0 pipelines the
-  /// task onto that device (the load slot is released when the task drains),
-  /// -1 defers it to the QAGS path. May drain older tasks to honour `depth`.
+  /// Queue one task. `device` is the scheduler's verdict: >= 0 runs the
+  /// task on that device (the load slot is released when the task drains),
+  /// -1 defers it to the QAGS path. May drain older tasks to honour the
+  /// depth; in synchronous mode the task has drained when this returns.
   void submit(const SpectralTask& task, const apec::PointPopulations& pops,
               int device, apec::Spectrum& spectrum);
 
@@ -111,6 +118,9 @@ class AsyncGpuExecutor {
     /// kernel-equivalent host path in this slot's FIFO position, keeping
     /// the accumulation order — and hence bit-identity — intact.
     bool degraded = false;
+    /// Synchronous mode's per-task copy of the bin edges (pipelined mode
+    /// leases the resident copy instead and leaves this invalid).
+    vgpu::DeviceBuffer edges;
     vgpu::DeviceBuffer emi;
     std::vector<double> staging;
   };
@@ -135,6 +145,7 @@ class AsyncGpuExecutor {
   std::vector<DevicePipeline*> pipelines_;
   TaskScheduler* scheduler_;
   const CpuTaskExecutor* cpu_;
+  ExecutionMode mode_;
   int depth_;
   int max_attempts_;
   bool recovery_;

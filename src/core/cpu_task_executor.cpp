@@ -1,12 +1,9 @@
 #include "core/cpu_task_executor.h"
 
-#include <stdexcept>
 #include <vector>
 
-#include "rrc/rrc.h"
-#include "rrc/rrc_batch.h"
+#include "core/gpu_task_executor.h"
 #include "vgpu/arena.h"
-#include "vgpu/integr_kernel.h"
 
 namespace hspec::core {
 
@@ -37,72 +34,25 @@ std::size_t CpuTaskExecutor::execute(const SpectralTask& task,
   return qags_.accumulate_ion(task.ion, pops, spectrum);
 }
 
-std::size_t execute_task_on_cpu(const apec::SpectrumCalculator& calc,
-                                const SpectralTask& task,
-                                const apec::PointPopulations& pops,
-                                apec::Spectrum& spectrum) {
-  return CpuTaskExecutor(calc).execute(task, pops, spectrum);
-}
-
-// Mirror of execute_task_on_gpu with the device operations replaced by the
-// shared host bin rule: same closed-form early-out, same per-level cutoff
-// and accumulate semantics on a zeroed emi array, same bin-then-lines
-// accumulation into the spectrum. Keep the two in lockstep — the fault
-// tests assert bitwise equality between them.
+// The device path with the stream replaced by the host replay of the same
+// kernel: same closed-form early-out, same level loop, same bin-then-lines
+// accumulation into the spectrum — one code path, so the fault tests'
+// bitwise equality between the two holds by construction.
 std::size_t execute_task_degraded(const apec::SpectrumCalculator& calc,
                                   const SpectralTask& task,
                                   const apec::PointPopulations& pops,
                                   apec::Spectrum& spectrum) {
-  const apec::EnergyGrid& grid = calc.grid();
-  const std::size_t n_bins = grid.bin_count();
-
-  if (task.ion.is_free_free() || !task.ion.emits_rrc()) {
+  if (task.closed_form()) {
     calc.accumulate_ion(task.ion, pops, spectrum);
     return 0;
   }
-
-  const auto levels = calc.database().levels_for(task.ion);
-  const std::size_t level_begin =
-      task.granularity == TaskGranularity::level ? task.level_index : 0;
-  const std::size_t level_end = task.granularity == TaskGranularity::level
-                                    ? task.level_index + 1
-                                    : levels.size();
-  if (level_end > levels.size())
-    throw std::out_of_range("execute_task_degraded: level index out of range");
-
+  const std::size_t n_bins = calc.grid().bin_count();
   std::vector<double> emi(n_bins, 0.0);
-  const util::PerCm3 n_rec = pops.ion_density(task.ion.z, task.ion.charge);
-  const apec::IntegrationPolicy& pol = calc.options().integration;
-  vgpu::IntegrLaunchConfig cfg;
-  cfg.method = pol.kernel;
-  cfg.method_param = pol.kernel_param;
-  cfg.accumulate = true;
-
-  // Degradation is rare, so the batch scratch is task-local here; the batch
-  // host path stays bitwise equal to the batched kernels (and both to the
-  // scalar oracle), keeping the degraded-vs-GPU identity intact.
+  // Degradation is rare, so the batch scratch is task-local here.
   vgpu::ScratchArena scratch;
-  for (std::size_t li = level_begin; li < level_end; ++li) {
-    rrc::RrcChannel ch;
-    ch.recombining_charge = task.ion.charge;
-    ch.level = levels[li];
-    ch.gaunt_correction = calc.options().gaunt_correction;
-    rrc::PlasmaState plasma{pops.kT_keV, pops.ne_cm3, n_rec};
-    cfg.lower_cutoff = ch.level.binding_keV;
-    if (pol.batch) {
-      const rrc::RrcBatchIntegrand bf(ch, plasma);
-      vgpu::integr_edges_host(grid.edges(), n_bins, bf, emi, scratch, cfg);
-    } else {
-      auto f = [&](double e) {
-        return rrc::rrc_power_density(ch, plasma, util::KeV{e}).value();
-      };
-      vgpu::integr_edges_host(grid.edges(), n_bins, f, emi, cfg);
-    }
-  }
-
-  for (std::size_t b = 0; b < n_bins; ++b) spectrum[b] += emi[b];
-  if (task.granularity == TaskGranularity::ion || task.level_index == 0)
-    calc.accumulate_ion_lines(task.ion, pops, spectrum);
+  integrate_task_levels(calc, task, pops, {nullptr, nullptr, nullptr, emi},
+                        scratch);
+  accumulate_task_result(calc, task, pops, emi, spectrum);
   return n_bins;
 }
 

@@ -31,21 +31,14 @@ class CpuTaskExecutor {
   apec::SpectrumCalculator qags_;
 };
 
-/// One-shot convenience wrapper: builds a CpuTaskExecutor for a single task.
-/// Hot loops should construct the executor once per rank instead.
-std::size_t execute_task_on_cpu(const apec::SpectrumCalculator& calc,
-                                const SpectralTask& task,
-                                const apec::PointPopulations& pops,
-                                apec::Spectrum& spectrum);
-
 /// Graceful-degradation executor (DESIGN.md §11): runs the task on the host
-/// with the GPU kernel's own per-bin rule (vgpu::integr_edges_host) and the
-/// GPU executor's accumulation order, so a task that exhausts its retry
-/// budget — or finds every device quarantined — still contributes bytes
-/// identical to what the device would have produced. Distinct from
-/// CpuTaskExecutor, which is the paper's QAGS path for full queues and
-/// differs from the kernels at the 1e-5 level. Returns the number of bin
-/// integrals done.
+/// through the shared level loop (integrate_task_levels) with the GPU
+/// kernel's own per-bin rule and the GPU accumulation order, so a task that
+/// exhausts its retry budget — or finds every device quarantined — still
+/// contributes bytes identical to what the device would have produced.
+/// Distinct from CpuTaskExecutor, which is the paper's QAGS path for full
+/// queues and differs from the kernels at the 1e-5 level. Returns the
+/// number of bin integrals done.
 std::size_t execute_task_degraded(const apec::SpectrumCalculator& calc,
                                   const SpectralTask& task,
                                   const apec::PointPopulations& pops,

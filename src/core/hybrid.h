@@ -13,14 +13,15 @@
 // (Wall-clock performance claims come from the DES in src/sim, which drives
 // the very same TaskScheduler.)
 //
-// Two execution modes share every scheduling decision:
-//  * synchronous — the paper's shipped mode: the rank blocks on each GPU
-//    task and re-uploads the bin edges every time (kept as the ablation
-//    baseline);
+// Every task runs through one executor (core/async_executor.h); the two
+// execution modes are two configurations of it and share every scheduling
+// decision:
+//  * synchronous — the paper's shipped mode: depth 1, the rank blocks on
+//    each GPU task and re-uploads the bin edges every time (kept as the
+//    ablation baseline);
 //  * pipelined — the §V remedy: per-rank streams, resident edge cache and
-//    double-buffered accumulators (core/async_executor.h). Spectra are
-//    bit-identical between the modes; only the virtual timeline and the
-//    PCIe byte counts differ.
+//    double-buffered accumulators. Spectra are bit-identical between the
+//    modes; only the virtual timeline and the PCIe byte counts differ.
 // Grid points are distributed by the work-stealing PointWorkQueue in shm
 // (each rank drains its own contiguous range, then steals from the most
 // loaded victim) instead of the old static split, so a slow rank no longer
@@ -59,13 +60,17 @@ struct HybridConfig {
   /// Number of virtual GPUs; -1 detects from HSPEC_VGPU_COUNT (0 => CPU-only,
   /// "it can run normally in the runtime environment without GPU device").
   int devices = -1;
-  /// Pipelined is the production default; synchronous is the paper baseline.
+  /// How the one task executor is configured. Pipelined is the production
+  /// default; synchronous is the paper's blocking loop (depth 1, per-task
+  /// edge uploads, every task drained before the next is submitted), kept
+  /// as the ablation baseline.
   ExecutionMode mode = ExecutionMode::pipelined;
   /// Device-selection strategy for every task (core/sched_policy.h): the
   /// paper's Algorithm 1 min-load pick, the only supported value. Both
   /// modes and the service share run_batch's single decision site.
   SchedulingPolicyKind scheduling_policy = SchedulingPolicyKind::dynamic_min_load;
-  /// In-flight GPU tasks (and streams) per rank per device when pipelined.
+  /// In-flight GPU tasks (and streams) per rank per device when pipelined;
+  /// synchronous mode always runs at depth 1.
   int pipeline_depth = 2;
   /// Grid points claimed per work-queue visit (steal granularity).
   std::int64_t steal_chunk = 1;
@@ -87,7 +92,9 @@ struct HybridConfig {
   int quarantine_after = 5;
 };
 
-/// Counters specific to the pipelined path and the work-stealing queue.
+/// Counters of the task executor's streams and resident cache, and of the
+/// work-stealing queue. Both modes fill them: synchronous mode reports its
+/// depth-1 streams, max_in_flight == 1 and no resident-cache traffic.
 struct PipelineStats {
   std::uint64_t streams_used = 0;      ///< streams opened across all devices
   std::uint64_t cache_hits = 0;        ///< resident-cache leases served free
@@ -95,7 +102,7 @@ struct PipelineStats {
   std::uint64_t bytes_h2d_saved = 0;   ///< H2D bytes the cache did not send
   std::uint64_t steals = 0;            ///< point chunks taken from other ranks
   std::uint64_t stolen_points = 0;     ///< grid points inside those chunks
-  std::uint64_t tasks_pipelined = 0;   ///< tasks that ran through streams
+  std::uint64_t tasks_pipelined = 0;   ///< GPU tasks that ran through streams
   std::uint64_t max_in_flight = 0;     ///< deepest pipeline any rank reached
 };
 
@@ -109,8 +116,9 @@ struct HybridResult {
   std::vector<vgpu::DeviceStats> device_stats;
   PipelineStats pipeline;
   /// Per device: virtual time at which its work drains. Pipelined mode reads
-  /// the stream scheduler (overlap-aware); synchronous mode is the device's
-  /// serialized busy time.
+  /// the stream clock (overlap-aware); synchronous mode, whose tasks also
+  /// run on streams, reads the device's serialized busy time — the
+  /// timeline of the paper's blocking loop.
   std::vector<double> device_sync_time_s;
   /// max over devices of device_sync_time_s (0 with no GPUs).
   double virtual_makespan_s = 0.0;

@@ -1,11 +1,11 @@
 #include "core/hybrid_executor.h"
 
 #include <algorithm>
-#include <optional>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/cpu_task_executor.h"
-#include "core/gpu_task_executor.h"
 #include "minimpi/minimpi.h"
 #include "util/dcheck.h"
 #include "util/fault.h"
@@ -34,6 +34,11 @@ void validate(const HybridConfig& config) {
   if (config.quarantine_after < config.degrade_after)
     throw std::invalid_argument(
         "HybridExecutor: quarantine_after must be >= degrade_after");
+}
+
+bool all_finite(const apec::Spectrum& s) {
+  return std::all_of(s.values().begin(), s.values().end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 vgpu::DeviceStats delta(const vgpu::DeviceStats& now,
@@ -65,10 +70,10 @@ HybridExecutor::HybridExecutor(const apec::SpectrumCalculator& calculator,
   shm_.view().quarantine_after = config_.quarantine_after;
 
   // One shared buffer pool per device: steady-state task execution never
-  // touches the device allocator. The pipelined path adds the per-device
-  // stream scheduler and the resident edge cache on top. All of it lives
-  // for the executor's lifetime — the reuse that makes batch N+1's H2D
-  // traffic collapse to the per-task minimum.
+  // touches the device allocator. The per-device stream scheduler and the
+  // resident edge cache (leased in pipelined mode) sit on top. All of it
+  // lives for the executor's lifetime — the reuse that makes batch N+1's
+  // H2D traffic collapse to the per-task minimum.
   for (int d = 0; d < n_dev_; ++d) {
     vgpu::Device& dev = registry_.device(static_cast<std::size_t>(d));
     pools_.push_back(std::make_unique<vgpu::BufferPool>(dev));
@@ -78,6 +83,15 @@ HybridExecutor::HybridExecutor(const apec::SpectrumCalculator& calculator,
 }
 
 HybridExecutor::~HybridExecutor() = default;
+
+double HybridExecutor::device_clock(int d) const {
+  // Pipelined: the stream clock (overlap-aware). Synchronous: the device's
+  // serialized busy time, as the paper's blocking loop would see it.
+  const auto du = static_cast<std::size_t>(d);
+  return config_.mode == ExecutionMode::pipelined
+             ? pipes_[du]->streams->device_sync_time()
+             : registry_.device(du).busy_time_s();
+}
 
 HybridResult HybridExecutor::run_batch(
     const std::vector<apec::GridPoint>& points) {
@@ -107,11 +121,7 @@ HybridResult HybridExecutor::run_batch(
     snap.streams_opened =
         pipes_[static_cast<std::size_t>(d)]->streams_opened.load(
             std::memory_order_relaxed);
-    const bool pipelined = config_.mode == ExecutionMode::pipelined;
-    snap.sync_time_s =
-        pipelined
-            ? pipes_[static_cast<std::size_t>(d)]->streams->device_sync_time()
-            : registry_.device(static_cast<std::size_t>(d)).busy_time_s();
+    snap.sync_time_s = device_clock(d);
   }
 
   // Near-equal contiguous seed ranges (the old static split) that ranks
@@ -131,8 +141,6 @@ HybridResult HybridExecutor::run_batch(
   if (plan != nullptr) plan_before = plan->stats();
   if (plan != nullptr) registry_.set_fault_plan(plan);
 
-  const bool pipelined = config_.mode == ExecutionMode::pipelined;
-
   HybridResult result;
   result.spectra.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i)
@@ -146,69 +154,11 @@ HybridResult HybridExecutor::run_batch(
     // Per-rank QAGS calculator, built once and reused by every CPU-fallback
     // task (the old code rebuilt it per task).
     const CpuTaskExecutor cpu_exec(*calc_);
-    // Per-rank batch-integrand scratch for the synchronous GPU path; reset
-    // inside execute_task_on_gpu, so steady-state tasks allocate nothing.
-    vgpu::ScratchArena gpu_scratch;
     FaultStats fs;  // this rank's recovery accounting
-    std::optional<AsyncGpuExecutor> async;
-    if (pipelined)
-      async.emplace(*calc_, pipe_views_, scheduler, cpu_exec,
-                    config_.pipeline_depth, config_.max_task_attempts,
-                    plan != nullptr, &fs);
-
-    // Synchronous-path recovery: a faulted device attempt frees its queue
-    // slot, reports the failure, and asks the scheduler for a (possibly
-    // different) device; past the retry budget — or with every device
-    // quarantined — the task degrades to the kernel-equivalent host path.
-    // execute_task_on_gpu accumulates into the spectrum only after its
-    // final D2H, so a fault leaves the spectrum untouched and the retry
-    // cannot double-count (the exactly-once argument of DESIGN.md §11).
-    auto run_task_sync = [&](const SpectralTask& task,
-                             const apec::PointPopulations& pops,
-                             apec::Spectrum& out, int device,
-                             TaskScheduler& sched) {
-      for (int attempt = 1;; ++attempt) {
-        if (device >= 0) {
-          try {
-            const GpuExecutionReport rep = execute_task_on_gpu(
-                *calc_, task, pops,
-                registry_.device(static_cast<std::size_t>(device)), out,
-                pools_[static_cast<std::size_t>(device)].get(), &gpu_scratch);
-            sched.sche_free(device);
-            if (plan != nullptr && rep.kernels > 0)
-              sched.report_task_success(device);
-            ++fs.gpu_completed;
-            return;
-          } catch (const util::FaultError& e) {
-            sched.sche_free(device);
-            sched.report_task_fault(
-                device, e.site() == util::FaultSite::device_death);
-            ++fs.retried;
-            device =
-                attempt < config_.max_task_attempts ? sched.sche_alloc() : -1;
-            if (device >= 0) {
-              ++fs.requeued;
-              continue;
-            }
-            ++fs.cpu_fallbacks;
-            execute_task_degraded(*calc_, task, pops, out);
-            ++fs.cpu_completed;
-            return;
-          }
-        }
-        // No device. Algorithm 1's QAGS fallback covers full queues; an
-        // all-quarantined device set instead degrades to the kernel-
-        // equivalent host path so the spectrum stays bit-identical.
-        if (plan != nullptr && sched.all_quarantined()) {
-          ++fs.cpu_fallbacks;
-          execute_task_degraded(*calc_, task, pops, out);
-        } else {
-          cpu_exec.execute(task, pops, out);
-        }
-        ++fs.cpu_completed;
-        return;
-      }
-    };
+    // The one task-execution path; the mode only configures it.
+    AsyncGpuExecutor exec(*calc_, pipe_views_, scheduler, cpu_exec,
+                          config_.mode, config_.pipeline_depth,
+                          config_.max_task_attempts, plan != nullptr, &fs);
 
     std::size_t my_tasks = 0;
     PointWorkQueue& queue = shm_.view().points;
@@ -223,28 +173,31 @@ HybridResult HybridExecutor::run_batch(
         for (const SpectralTask& task :
              make_tasks(*calc_, points[p], pops, config_.granularity)) {
           ++my_tasks;
-          // The single decision site both modes share: Algorithm 1 picks
-          // (and reserves) a device, the clock around it feeds the shm
-          // latency histogram. Fault-path re-allocations below go through
+          // The single decision site: Algorithm 1 picks (and reserves) a
+          // device, the clock around it feeds the shm latency histogram.
+          // Fault-path re-allocations inside the executor go through
           // sche_alloc directly, so the histogram stays one-per-task.
-          const int device = timed_assign(*policy_, task, scheduler);
-          if (pipelined) {
-            async->submit(task, pops, device, local);
-          } else {
-            run_task_sync(task, pops, local, device, scheduler);
-          }
+          exec.submit(task, pops, timed_assign(*policy_, task, scheduler),
+                      local);
         }
         // All of a point's tasks drain before its spectrum is published;
         // points are claimed exactly once, so accumulation is race-free.
-        if (pipelined) async->drain_all();
+        exec.drain_all();
+        // Only finite spectra leave the executor (and reach a cache).
+        if (!all_finite(local)) {
+          std::ostringstream what;
+          what << "HybridExecutor: non-finite spectrum for point " << p
+               << " (kT = " << points[p].kT_keV
+               << " keV, ne = " << points[p].ne_cm3 << " cm^-3)";
+          throw std::domain_error(what.str());
+        }
         result.spectra[p] += local;
       }
     }
 
     // No cross-rank wait here: a rank that threw never arrives, and
     // minimpi::run already joins every rank before the epilogue.
-    accum.merge_rank(scheduler.stats(), fs, my_tasks,
-                     async ? &async->stats() : nullptr);
+    accum.merge_rank(scheduler.stats(), fs, my_tasks, exec.stats());
   });
   accum.publish(result);
   result.sched = read_scheduling_stats(shm_.view());
@@ -274,10 +227,7 @@ HybridResult HybridExecutor::run_batch(
     result.pipeline.cache_misses += cst.misses;
     result.pipeline.bytes_h2d_saved += cst.bytes_saved;
 
-    const double sync_time =
-        (pipelined ? pipes_[du]->streams->device_sync_time()
-                   : dev.busy_time_s()) -
-        snap.sync_time_s;
+    const double sync_time = device_clock(d) - snap.sync_time_s;
     result.device_sync_time_s.push_back(sync_time);
     result.virtual_makespan_s = std::max(result.virtual_makespan_s, sync_time);
   }

@@ -55,9 +55,9 @@ namespace hspec::core {
 class BatchAccumulator {
  public:
   /// Fold one rank's scheduler stats, recovery accounting, task count and
-  /// (when pipelined) async-executor stats into the batch totals.
+  /// executor stats into the batch totals.
   void merge_rank(const SchedulerStats& sched, const FaultStats& fs,
-                  std::size_t tasks, const AsyncGpuExecutor::Stats* async)
+                  std::size_t tasks, const AsyncGpuExecutor::Stats& exec)
       HSPEC_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     scheduling_.gpu_allocations += sched.gpu_allocations;
@@ -73,10 +73,8 @@ class BatchAccumulator {
     faults_.gpu_completed += fs.gpu_completed;
     faults_.cpu_completed += fs.cpu_completed;
     tasks_total_ += tasks;
-    if (async != nullptr) {
-      tasks_pipelined_ += async->gpu_tasks;
-      max_in_flight_ = std::max(max_in_flight_, async->max_in_flight);
-    }
+    tasks_pipelined_ += exec.gpu_tasks;
+    max_in_flight_ = std::max(max_in_flight_, exec.max_in_flight);
   }
 
   /// Copy the aggregate into `result` (scheduling, faults, tasks_total and
@@ -141,6 +139,10 @@ class HybridExecutor {
     std::uint64_t streams_opened = 0;
     double sync_time_s = 0.0;
   };
+
+  /// Device d's virtual clock, read per the mode (HybridResult::
+  /// device_sync_time_s).
+  double device_clock(int d) const;
 
   const apec::SpectrumCalculator* calc_;
   HybridConfig config_;

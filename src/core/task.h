@@ -26,6 +26,13 @@ struct SpectralTask {
   TaskGranularity granularity = TaskGranularity::ion;
   /// Level index within the ion; only meaningful for level granularity.
   std::size_t level_index = 0;
+
+  /// The free-free pseudo-unit (a closed-form per-bin integral) or a unit
+  /// with no RRC emission: not worth a kernel, so every executor
+  /// accumulates it on the host.
+  bool closed_form() const noexcept {
+    return ion.is_free_free() || !ion.emits_rrc();
+  }
 };
 
 /// Workload scale knobs. Defaults are test-sized; the paper-scale values

@@ -74,6 +74,10 @@ void SpectralService::stop() {
 
 SpectralService::Ticket SpectralService::submit(
     std::vector<apec::GridPoint> points) {
+  // O(1) per point, before admission: a point the executor would refuse is
+  // refused for this request alone, never for a group it would have been
+  // coalesced into.
+  for (const apec::GridPoint& point : points) apec::validate_point(point);
   auto req = std::make_unique<Request>();
   req->points = std::move(points);
   req->submitted = std::chrono::steady_clock::now();

@@ -4,7 +4,8 @@
 //
 // Lifecycle of a request:
 //
-//   submit(points)            — any thread (minimpi ranks included); the
+//   submit(points)            — any thread (minimpi ranks included); an
+//     invalid point is refused here, for this request only; the
 //     admission gate applies here: with the queue at max_pending_points the
 //     call blocks (Admission::block) or throws ServiceOverloaded
 //     (Admission::reject);
@@ -143,7 +144,9 @@ class SpectralService {
     std::shared_future<ServiceReply> future_;
   };
 
-  /// Thread-safe submit. Blocks or throws ServiceOverloaded at the
+  /// Thread-safe submit. Throws std::invalid_argument, before admission,
+  /// if any point has a non-finite or non-positive kT or ne
+  /// (apec::validate_point). Blocks or throws ServiceOverloaded at the
   /// admission gate per config; throws ServiceStopped after stop().
   Ticket submit(std::vector<apec::GridPoint> points) HSPEC_EXCLUDES(mu_);
 

@@ -45,21 +45,4 @@ class BufferPool {
   Stats stats_ HSPEC_GUARDED_BY(mu_);
 };
 
-/// RAII lease: acquires on construction, releases back on destruction.
-class PooledBuffer {
- public:
-  PooledBuffer(BufferPool& pool, std::size_t bytes)
-      : pool_(&pool), buffer_(pool.acquire(bytes)) {}
-  ~PooledBuffer() { pool_->release(std::move(buffer_)); }
-  PooledBuffer(const PooledBuffer&) = delete;
-  PooledBuffer& operator=(const PooledBuffer&) = delete;
-
-  DeviceBuffer& get() noexcept { return buffer_; }
-  const DeviceBuffer& get() const noexcept { return buffer_; }
-
- private:
-  BufferPool* pool_;
-  DeviceBuffer buffer_;
-};
-
 }  // namespace hspec::vgpu

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "util/fault.h"
-#include "vgpu/buffer_pool.h"
 
 namespace hspec::vgpu {
 
@@ -44,11 +43,7 @@ void DeviceBuffer::release() noexcept {
 }
 
 Device::Device(DeviceProperties props, int device_id)
-    : model_(std::move(props)),
-      id_(device_id),
-      default_pool_(std::make_unique<BufferPool>(*this)) {}
-
-Device::~Device() = default;
+    : model_(std::move(props)), id_(device_id) {}
 
 DeviceBuffer Device::alloc(std::size_t bytes) {
   if (bytes == 0) throw std::invalid_argument("Device::alloc: zero bytes");
@@ -95,12 +90,6 @@ void Device::copy_to_host(void* dst, const DeviceBuffer& src,
   ++stats_.d2h_copies;
   stats_.bytes_d2h += bytes;
   stats_.transfer_time_s += model_.transfer_time_s(bytes);
-}
-
-void Device::memset_device(DeviceBuffer& dst, int value, std::size_t bytes) {
-  if (bytes > dst.size())
-    throw std::out_of_range("memset_device: byte count exceeds buffer");
-  std::memset(dst.device_ptr(), value, bytes);
 }
 
 void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,

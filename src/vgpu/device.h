@@ -56,7 +56,6 @@ struct KernelCtx {
 using Kernel = util::FunctionRef<void(const KernelCtx&)>;
 
 class Device;
-class BufferPool;
 
 /// RAII device-memory allocation. Must not outlive its Device.
 class DeviceBuffer {
@@ -114,7 +113,6 @@ struct DeviceStats {
 class Device {
  public:
   Device(DeviceProperties props, int device_id);
-  ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
@@ -132,17 +130,10 @@ class Device {
     return allocated_.load(std::memory_order_relaxed);
   }
 
-  /// The device's own size-bucketed buffer pool, for wrappers that are not
-  /// handed an executor pool (e.g. gpu_integr): repeated calls recycle their
-  /// buffers instead of paying a cudaMalloc/cudaFree per call.
-  BufferPool& default_pool() noexcept { return *default_pool_; }
-
   /// cudaMemcpy(HostToDevice): real copy + virtual PCIe cost.
   void copy_to_device(DeviceBuffer& dst, const void* src, std::size_t bytes);
   /// cudaMemcpy(DeviceToHost).
   void copy_to_host(void* dst, const DeviceBuffer& src, std::size_t bytes);
-  /// cudaMemset.
-  void memset_device(DeviceBuffer& dst, int value, std::size_t bytes);
 
   /// Launch a kernel over grid x block threads. `work` is the caller's work
   /// estimate used for virtual-time accounting. Threads execute sequentially
@@ -172,9 +163,6 @@ class Device {
   // Written once before the ranks launch (thread creation provides the
   // happens-before), read on every fallible operation.
   util::FaultPlan* fault_plan_ = nullptr;
-  // Constructed eagerly (BufferPool is cheap); destroyed before the mutex
-  // and allocation counter it returns buffers through.
-  std::unique_ptr<BufferPool> default_pool_;
 };
 
 /// The machine's virtual GPUs. "The program will detect the number of GPU

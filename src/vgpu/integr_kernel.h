@@ -9,11 +9,16 @@
 //     idx      <- threadIdx.x + blockIdx.x * blockDim.x
 //     each thread integrates bins [idx*bin_num, (idx+1)*bin_num) by Simpson
 //
+// The kernels here take explicit bin edges (APEC grids are wavelength-
+// uniform, hence energy-non-uniform); the paper's equal split of [L, U] is
+// the special case of equally spaced edges.
+//
 // `accumulate=true` adds into the existing device array instead of storing —
 // that is how all energy levels of one ion accumulate on the GPU so that a
 // single D2H transfer finishes the coarse-grained task.
 //
-// Every entry point comes in two forms:
+// Every entry point — the stream kernel and its host replay — comes in two
+// forms:
 //
 //  * scalar (quad::Integrand)     — the reference oracle: one indirect call
 //    per abscissa, the arithmetic pinned by the shared rule templates;
@@ -65,35 +70,12 @@ struct IntegrLaunchConfig {
 WorkEstimate integr_work(std::size_t bins, const IntegrLaunchConfig& cfg,
                          double lanes = 1.0);
 
-/// Launch Algorithm 2 on `device`: integrate N uniform bins of [L, U] into
-/// the device buffer `emi_dev` (N doubles, already allocated).
-void gpu_integr_device(Device& device, double lo, double hi, std::size_t n_bins,
-                       quad::Integrand f, DeviceBuffer& emi_dev,
-                       const IntegrLaunchConfig& cfg = {});
-
-/// Batched form of gpu_integr_device.
-void gpu_integr_device(Device& device, double lo, double hi, std::size_t n_bins,
-                       quad::BatchIntegrand f, DeviceBuffer& emi_dev,
-                       ScratchArena& arena, const IntegrLaunchConfig& cfg = {});
-
-/// Non-uniform-bin variant: bin i spans [edges[i], edges[i+1]]; `edges_dev`
-/// holds n_bins+1 doubles on the device (the spectral grids of APEC are
-/// wavelength-uniform, hence energy-non-uniform).
-void gpu_integr_edges_device(Device& device, const DeviceBuffer& edges_dev,
-                             std::size_t n_bins, quad::Integrand f,
-                             DeviceBuffer& emi_dev,
-                             const IntegrLaunchConfig& cfg = {});
-
-/// Batched form of gpu_integr_edges_device.
-void gpu_integr_edges_device(Device& device, const DeviceBuffer& edges_dev,
-                             std::size_t n_bins, quad::BatchIntegrand f,
-                             DeviceBuffer& emi_dev, ScratchArena& arena,
-                             const IntegrLaunchConfig& cfg = {});
-
-/// Stream (asynchronous) variant of gpu_integr_edges_device: the launch is
-/// queued on `stream`, so consecutive tasks' kernels and transfers overlap
-/// per the device's concurrency rules instead of serializing with the rest
-/// of the device. Results are identical to the blocking variant.
+/// Launch Algorithm 2 on `stream`: integrate bin i over [edges[i],
+/// edges[i+1]] into the device buffer `emi_dev` (n_bins doubles, already
+/// allocated); `edges_dev` holds n_bins+1 doubles on the device (the
+/// spectral grids of APEC are wavelength-uniform, hence
+/// energy-non-uniform). The launch is queued on the stream, so consecutive
+/// tasks' kernels and transfers overlap per the device's concurrency rules.
 void gpu_integr_edges_stream(Stream& stream, const DeviceBuffer& edges_dev,
                              std::size_t n_bins, quad::Integrand f,
                              DeviceBuffer& emi_dev,
@@ -123,16 +105,5 @@ void integr_edges_host(std::span<const double> edges, std::size_t n_bins,
 void integr_edges_host(std::span<const double> edges, std::size_t n_bins,
                        quad::BatchIntegrand f, std::span<double> emi,
                        ScratchArena& arena, const IntegrLaunchConfig& cfg = {});
-
-/// Host-convenience wrapper of Algorithm 2: leases device memory from the
-/// device's default BufferPool, runs the kernel, copies emi back to `out`
-/// (out.size() = number of bins).
-void gpu_integr(Device& device, double lo, double hi, quad::Integrand f,
-                std::span<double> out, const IntegrLaunchConfig& cfg = {});
-
-/// Batched form of gpu_integr.
-void gpu_integr(Device& device, double lo, double hi, quad::BatchIntegrand f,
-                std::span<double> out, ScratchArena& arena,
-                const IntegrLaunchConfig& cfg = {});
 
 }  // namespace hspec::vgpu

@@ -2,7 +2,7 @@
 // Per-device resident data cache: device copies of host arrays that never
 // change for the lifetime of a run (the spectral grid's bin edges above all).
 //
-// The synchronous executor re-uploads the identical (n_bins+1)*8-byte edge
+// Synchronous mode re-uploads the identical (n_bins+1)*8-byte edge
 // array on every task — pure PCIe waste, since the grid is fixed for the
 // whole parameter-space sweep. The cache uploads each distinct host array
 // once per device and leases the resident copy to every subsequent task;

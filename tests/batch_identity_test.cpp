@@ -3,7 +3,7 @@
 //
 // The batched kernels (record / evaluate / replay, quad/batch.h) promise
 // output bytes identical to the scalar oracle for every kernel method, every
-// entry point (device, stream, host/degraded), accumulate mode, and the
+// entry point (stream kernel, host/degraded), accumulate mode, and the
 // lower-cutoff clamp — a promise strong enough that flipping
 // IntegrationPolicy::batch must not change a single spectrum bit. These
 // tests pin that promise with memcmp, never EXPECT_NEAR.
@@ -27,7 +27,6 @@
 #include "rrc/rrc.h"
 #include "rrc/rrc_batch.h"
 #include "vgpu/arena.h"
-#include "vgpu/buffer_pool.h"
 #include "vgpu/device.h"
 #include "vgpu/integr_kernel.h"
 #include "vgpu/stream.h"
@@ -176,9 +175,10 @@ TEST(BatchRules, CombineReplaysIntegrateBitwiseAllMethods) {
 
 class BatchKernelIdentity : public ::testing::Test {
  protected:
-  BatchKernelIdentity() : dev_(tesla_c2075(), 0) {}
+  BatchKernelIdentity()
+      : dev_(tesla_c2075(), 0), sched_(dev_), stream_(sched_, dev_) {}
 
-  // Runs scalar and batched gpu_integr_edges_device over the same edges and
+  // Runs scalar and batched gpu_integr_edges_stream over the same edges and
   // config; returns both emissivity arrays.
   std::pair<std::vector<double>, std::vector<double>> run_edges_device(
       std::span<const double> edges, const IntegrLaunchConfig& cfg) {
@@ -189,17 +189,19 @@ class BatchKernelIdentity : public ::testing::Test {
 
     std::vector<double> scalar_out(bins), batch_out(bins);
     auto f = [&](double e) { return rrc_.scalar(e); };
-    gpu_integr_edges_device(dev_, edges_dev, bins, f, emi, cfg);
+    gpu_integr_edges_stream(stream_, edges_dev, bins, f, emi, cfg);
     dev_.copy_to_host(scalar_out.data(), emi, bins * sizeof(double));
 
     const rrc::RrcBatchIntegrand bf(rrc_.ch, rrc_.plasma);
     arena_.reset();
-    gpu_integr_edges_device(dev_, edges_dev, bins, bf, emi, arena_, cfg);
+    gpu_integr_edges_stream(stream_, edges_dev, bins, bf, emi, arena_, cfg);
     dev_.copy_to_host(batch_out.data(), emi, bins * sizeof(double));
     return {std::move(scalar_out), std::move(batch_out)};
   }
 
   Device dev_;
+  StreamScheduler sched_;
+  Stream stream_;
   RrcPair rrc_;
   ScratchArena arena_;
 };
@@ -230,28 +232,12 @@ TEST_F(BatchKernelIdentity, ScalarBatchAdapterIsTriviallyIdentical) {
   IntegrLaunchConfig cfg;
 
   std::vector<double> scalar_out(bins), batch_out(bins);
-  gpu_integr_edges_device(dev_, edges_dev, bins, f, emi, cfg);
+  gpu_integr_edges_stream(stream_, edges_dev, bins, f, emi, cfg);
   dev_.copy_to_host(scalar_out.data(), emi, bins * sizeof(double));
   const quad::ScalarBatchAdapter adapter{quad::Integrand(f)};
-  gpu_integr_edges_device(dev_, edges_dev, bins, adapter, emi, arena_, cfg);
+  gpu_integr_edges_stream(stream_, edges_dev, bins, adapter, emi, arena_, cfg);
   dev_.copy_to_host(batch_out.data(), emi, bins * sizeof(double));
   expect_bitwise_equal(scalar_out, batch_out, "adapter");
-}
-
-TEST_F(BatchKernelIdentity, UniformBinsDevice) {
-  const std::size_t bins = 333;
-  DeviceBuffer emi = dev_.alloc(bins * sizeof(double));
-  IntegrLaunchConfig cfg;
-  cfg.lower_cutoff = rrc_.ch.level.binding_keV;
-
-  std::vector<double> scalar_out(bins), batch_out(bins);
-  auto f = [&](double e) { return rrc_.scalar(e); };
-  gpu_integr_device(dev_, 0.3, 9.0, bins, f, emi, cfg);
-  dev_.copy_to_host(scalar_out.data(), emi, bins * sizeof(double));
-  const rrc::RrcBatchIntegrand bf(rrc_.ch, rrc_.plasma);
-  gpu_integr_device(dev_, 0.3, 9.0, bins, bf, emi, arena_, cfg);
-  dev_.copy_to_host(batch_out.data(), emi, bins * sizeof(double));
-  expect_bitwise_equal(scalar_out, batch_out, "uniform bins");
 }
 
 TEST_F(BatchKernelIdentity, AccumulateModeAcrossLaunches) {
@@ -268,15 +254,16 @@ TEST_F(BatchKernelIdentity, AccumulateModeAcrossLaunches) {
   auto f = [&](double e) { return rrc_.scalar(e); };
   const rrc::RrcBatchIntegrand bf(rrc_.ch, rrc_.plasma);
 
+  const std::vector<double> zeros(bins, 0.0);
   std::vector<double> scalar_out(bins), batch_out(bins);
-  dev_.memset_device(emi, 0, bins * sizeof(double));
-  gpu_integr_edges_device(dev_, edges_dev, bins, f, emi, cfg);
-  gpu_integr_edges_device(dev_, edges_dev, bins, f, emi, cfg);
+  dev_.copy_to_device(emi, zeros.data(), bins * sizeof(double));
+  gpu_integr_edges_stream(stream_, edges_dev, bins, f, emi, cfg);
+  gpu_integr_edges_stream(stream_, edges_dev, bins, f, emi, cfg);
   dev_.copy_to_host(scalar_out.data(), emi, bins * sizeof(double));
 
-  dev_.memset_device(emi, 0, bins * sizeof(double));
-  gpu_integr_edges_device(dev_, edges_dev, bins, bf, emi, arena_, cfg);
-  gpu_integr_edges_device(dev_, edges_dev, bins, bf, emi, arena_, cfg);
+  dev_.copy_to_device(emi, zeros.data(), bins * sizeof(double));
+  gpu_integr_edges_stream(stream_, edges_dev, bins, bf, emi, arena_, cfg);
+  gpu_integr_edges_stream(stream_, edges_dev, bins, bf, emi, arena_, cfg);
   dev_.copy_to_host(batch_out.data(), emi, bins * sizeof(double));
   expect_bitwise_equal(scalar_out, batch_out, "accumulate");
 }
@@ -309,7 +296,8 @@ TEST_F(BatchKernelIdentity, CutoffClampMatchesPerBinRule) {
   EXPECT_TRUE(saw_straddle);
 }
 
-TEST_F(BatchKernelIdentity, StreamBatchMatchesBlockingScalar) {
+TEST_F(BatchKernelIdentity, StreamBatchMatchesHostScalar) {
+  // The batched stream kernel against the scalar oracle off the device.
   const auto edges = geometric_edges(0.2, 10.0, 200);
   const std::size_t bins = edges.size() - 1;
   DeviceBuffer edges_dev = dev_.alloc(edges.size() * sizeof(double));
@@ -320,14 +308,11 @@ TEST_F(BatchKernelIdentity, StreamBatchMatchesBlockingScalar) {
 
   std::vector<double> scalar_out(bins), batch_out(bins);
   auto f = [&](double e) { return rrc_.scalar(e); };
-  gpu_integr_edges_device(dev_, edges_dev, bins, f, emi, cfg);
-  dev_.copy_to_host(scalar_out.data(), emi, bins * sizeof(double));
+  integr_edges_host(edges, bins, f, scalar_out, cfg);
 
-  StreamScheduler sched(dev_);
-  Stream stream(sched, dev_);
   const rrc::RrcBatchIntegrand bf(rrc_.ch, rrc_.plasma);
-  gpu_integr_edges_stream(stream, edges_dev, bins, bf, emi, arena_, cfg);
-  stream.synchronize();
+  gpu_integr_edges_stream(stream_, edges_dev, bins, bf, emi, arena_, cfg);
+  stream_.synchronize();
   dev_.copy_to_host(batch_out.data(), emi, bins * sizeof(double));
   expect_bitwise_equal(scalar_out, batch_out, "stream");
 }
@@ -350,24 +335,6 @@ TEST_F(BatchKernelIdentity, HostDegradedPathMatchesDevice) {
   const auto [dev_scalar, dev_batch] = run_edges_device(edges, cfg);
   expect_bitwise_equal(host_batch, dev_scalar, "host batch vs device scalar");
   expect_bitwise_equal(host_batch, dev_batch, "host batch vs device batch");
-}
-
-TEST_F(BatchKernelIdentity, ConvenienceWrapperLeasesFromDefaultPool) {
-  const std::size_t bins = 50;
-  std::vector<double> scalar_out(bins), batch_out(bins);
-  auto f = [&](double e) { return rrc_.scalar(e); };
-  IntegrLaunchConfig cfg;
-  cfg.lower_cutoff = rrc_.ch.level.binding_keV;
-
-  gpu_integr(dev_, 0.5, 6.0, f, scalar_out, cfg);
-  const auto first = dev_.default_pool().stats();
-  const rrc::RrcBatchIntegrand bf(rrc_.ch, rrc_.plasma);
-  gpu_integr(dev_, 0.5, 6.0, bf, batch_out, arena_, cfg);
-  expect_bitwise_equal(scalar_out, batch_out, "gpu_integr wrapper");
-  // Same-size launch immediately after: the emi buffer must come off the
-  // pool free list, not a fresh device allocation (satellite regression).
-  const auto second = dev_.default_pool().stats();
-  EXPECT_GT(second.reuses, first.reuses);
 }
 
 TEST_F(BatchKernelIdentity, WarmArenaStopsGrowing) {

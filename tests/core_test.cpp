@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -667,6 +668,13 @@ struct BadPoint {
   ExecutionMode mode;
 };
 
+/// Every rejection is a std::logic_error: std::invalid_argument for a kT
+/// the populations refuse (non-finite or <= 0), std::domain_error for a
+/// valid-looking kT whose spectrum comes out non-finite.
+bool refused_by_populations(double kT_keV) {
+  return !(std::isfinite(kT_keV) && kT_keV > 0.0);
+}
+
 void PrintTo(const BadPoint& c, std::ostream* os) {
   *os << "kT=" << c.kT_keV << " ranks=" << c.ranks
       << (c.mode == ExecutionMode::synchronous ? " sync" : " pipelined");
@@ -676,10 +684,12 @@ class BadPointBatch : public HybridTest,
                       public ::testing::WithParamInterface<BadPoint> {};
 
 TEST_P(BadPointBatch, ThrowsThenNextBatchMatchesFreshRun) {
-  // kT <= 0 makes the populations throw in whichever rank claims that
-  // point. The other ranks finish their points; the batch must then
-  // surface the error rather than wait for the failed rank, and the same
-  // executor must serve the next batch exactly like a fresh driver.
+  // A non-finite or non-positive kT makes the populations throw in
+  // whichever rank claims that point; a tiny positive kT gets through them
+  // but yields a non-finite spectrum, which the rank refuses to publish.
+  // The other ranks finish their points; the batch must then surface the
+  // error rather than wait for the failed rank, and the same executor must
+  // serve the next batch exactly like a fresh driver.
   const auto [kT, ranks, mode] = GetParam();
   HybridConfig cfg;
   cfg.ranks = ranks;
@@ -688,7 +698,11 @@ TEST_P(BadPointBatch, ThrowsThenNextBatchMatchesFreshRun) {
   HybridExecutor executor(calc_, cfg);
   const std::vector<apec::GridPoint> bad{{0.5, 1.0, 0.0, 0},
                                          {kT, 1.0, 0.0, 1}};
-  EXPECT_THROW(executor.run_batch(bad), std::invalid_argument);
+  if (refused_by_populations(kT)) {
+    EXPECT_THROW(executor.run_batch(bad), std::invalid_argument);
+  } else {
+    EXPECT_THROW(executor.run_batch(bad), std::domain_error);
+  }
 
   const std::vector<apec::GridPoint> good{{0.3, 1.0, 0.0, 0},
                                           {0.8, 1.0, 0.0, 1}};
@@ -710,6 +724,24 @@ INSTANTIATE_TEST_SUITE_P(
                       BadPoint{0.0, 2, ExecutionMode::pipelined},
                       BadPoint{0.0, 4, ExecutionMode::synchronous},
                       BadPoint{0.0, 4, ExecutionMode::pipelined}));
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    NonFiniteOrTinyTemperature, BadPointBatch,
+    ::testing::Values(BadPoint{kNaN, 2, ExecutionMode::synchronous},
+                      BadPoint{kNaN, 2, ExecutionMode::pipelined},
+                      BadPoint{kNaN, 4, ExecutionMode::synchronous},
+                      BadPoint{kNaN, 4, ExecutionMode::pipelined},
+                      BadPoint{kInf, 2, ExecutionMode::synchronous},
+                      BadPoint{kInf, 2, ExecutionMode::pipelined},
+                      BadPoint{kInf, 4, ExecutionMode::synchronous},
+                      BadPoint{kInf, 4, ExecutionMode::pipelined},
+                      BadPoint{1e-10, 2, ExecutionMode::synchronous},
+                      BadPoint{1e-10, 2, ExecutionMode::pipelined},
+                      BadPoint{1e-10, 4, ExecutionMode::synchronous},
+                      BadPoint{1e-10, 4, ExecutionMode::pipelined}));
 
 TEST_F(HybridTest, ServiceServesTheTicketAfterABadOne) {
   service::ServiceConfig cfg;

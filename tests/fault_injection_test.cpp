@@ -303,16 +303,15 @@ TEST_F(FaultInjectionTest, StreamStallsRecoverBitIdenticallyPipelined) {
   expect_ledger_balances(res);
 }
 
-TEST_F(FaultInjectionTest, StreamStallsNeverFireInSynchronousMode) {
-  // The synchronous driver uses no streams, so a stall-only plan must stay
-  // silent: same spectra, zero injections.
+TEST_F(FaultInjectionTest, StreamStallsRecoverBitIdenticallySynchronous) {
+  // Synchronous mode is the blocking configuration of the same stream
+  // executor, so a stall-only plan fires here too and must recover.
   FaultPlanConfig cfg;
   cfg.seed = 17;
   cfg.stream_stall_rate = 0.5;
   FaultPlan plan(cfg);
   const HybridResult res = run(ExecutionMode::synchronous, 4, 2, &plan);
-  EXPECT_EQ(res.faults.injected, 0);
-  EXPECT_EQ(res.faults.retried, 0);
+  EXPECT_GT(res.faults.injected, 0);
   expect_bit_identical(reference(), res);
   expect_ledger_balances(res);
 }

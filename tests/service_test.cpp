@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -291,6 +293,42 @@ TEST(SpectralService, DeduplicatesSamePointAcrossRequests) {
   for (std::size_t b = 0; b < w.grid.bin_count(); ++b)
     EXPECT_EQ(r1.spectra[0][b], r2.spectra[0][b]);
   EXPECT_EQ(svc.telemetry().batches, 1u);
+}
+
+TEST(SpectralService, InvalidPointIsRefusedForItsOwnRequestOnly) {
+  // A NaN, infinite or non-positive point is refused at submit, before it
+  // could be coalesced with (and fail) the good request queued beside it,
+  // and nothing of it reaches the grid cache.
+  Workload w;
+  ServiceConfig cfg;
+  cfg.hybrid = Workload::hybrid_config();
+  cfg.autostart = false;  // queue everything first, then start
+  SpectralService svc(w.calc, cfg);
+
+  auto good = svc.submit({point_at(0.6)});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double kT : {nan, inf, -inf, 0.0, -1.0})
+    EXPECT_THROW(svc.submit({point_at(0.5), point_at(kT)}),
+                 std::invalid_argument)
+        << "kT = " << kT;
+  apec::GridPoint bad_ne = point_at(0.5);
+  bad_ne.ne_cm3 = nan;
+  EXPECT_THROW(svc.submit({bad_ne}), std::invalid_argument);
+  svc.start();
+  const auto reply = good.wait();
+
+  EXPECT_EQ(svc.cache_stats().inserts, 1u);  // the good point only
+  EXPECT_EQ(reply.stats.batch_points, 1u);
+  const auto fresh = core::HybridDriver(w.calc, cfg.hybrid).run(
+      {point_at(0.6)});
+  ASSERT_EQ(reply.spectra.size(), 1u);
+  for (std::size_t b = 0; b < w.grid.bin_count(); ++b) {
+    const double served = reply.spectra[0][b];
+    const double ref = fresh.spectra[0][b];
+    EXPECT_EQ(std::memcmp(&served, &ref, sizeof(double)), 0)
+        << "bin " << b << " differs bitwise";
+  }
 }
 
 TEST(SpectralService, RejectPolicyThrowsWhenQueueIsFull) {

@@ -1,6 +1,6 @@
-// Tests for the asynchronous pipelined executor: bit-identical spectra vs
-// the synchronous driver, resident-cache H2D savings, stream usage, and
-// work stealing through the full hybrid driver.
+// Tests for the task executor in both modes: bit-identical spectra between
+// synchronous and pipelined mode, resident-cache H2D savings, stream usage,
+// and work stealing through the full hybrid driver.
 
 #include <gtest/gtest.h>
 
@@ -125,6 +125,23 @@ TEST_F(PipelineTest, PipelineShortensTheVirtualTimeline) {
   EXPECT_GT(async.pipeline.streams_used, 0u);
   EXPECT_GT(async.pipeline.tasks_pipelined, 0u);
   EXPECT_GE(async.pipeline.max_in_flight, 1u);
+}
+
+TEST_F(PipelineTest, SynchronousModeIsTheBlockingConfiguration) {
+  // Synchronous mode is the one executor at depth 1 with per-task edge
+  // uploads: every GPU task runs on a stream while holding the rank's only
+  // device slot, never leases the resident edges, and sends the
+  // (n_bins + 1) edges up exactly once.
+  const auto pts = points(3);
+  const HybridResult sync = run(ExecutionMode::synchronous, 4, 2, pts);
+  ASSERT_GT(sync.pipeline.tasks_pipelined, 0u);
+  EXPECT_EQ(sync.pipeline.max_in_flight, 1u);
+  EXPECT_EQ(sync.pipeline.cache_hits, 0u);
+  EXPECT_EQ(sync.pipeline.cache_misses, 0u);
+  std::uint64_t h2d = 0;
+  for (const auto& st : sync.device_stats) h2d += st.bytes_h2d;
+  EXPECT_EQ(h2d, sync.pipeline.tasks_pipelined * (grid_.bin_count() + 1) *
+                     sizeof(double));
 }
 
 TEST_F(PipelineTest, WorkStealingComputesEveryPointExactlyOnce) {

@@ -214,8 +214,9 @@ TEST(BufferPool, SteadyStateNeverAllocates) {
   Device dev(tesla_c2075(), 0);
   BufferPool pool(dev);
   for (int iter = 0; iter < 50; ++iter) {
-    PooledBuffer lease(pool, 2048);
-    EXPECT_TRUE(lease.get().valid());
+    DeviceBuffer lease = pool.acquire(2048);
+    EXPECT_TRUE(lease.valid());
+    pool.release(std::move(lease));
   }
   const auto st = pool.stats();
   EXPECT_EQ(st.allocations, 1u);

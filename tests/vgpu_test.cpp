@@ -11,6 +11,7 @@
 #include "quad/newton_cotes.h"
 #include "vgpu/device.h"
 #include "vgpu/integr_kernel.h"
+#include "vgpu/stream.h"
 
 namespace {
 
@@ -157,16 +158,45 @@ TEST(DeviceRegistry, ExplicitCountAndEnvDetect) {
 
 // --------------------------------------------------------------- Algorithm 2
 
+/// Uploads `edges` and runs the edges kernel `launches` times on one
+/// stream — the first launch stores, the rest accumulate, as a task's
+/// levels do — then reads the bins back.
+std::vector<double> run_edges_kernel(Device& dev,
+                                     const std::vector<double>& edges,
+                                     quad::Integrand f, int launches = 1) {
+  const std::size_t n = edges.size() - 1;
+  StreamScheduler sched(dev);
+  Stream stream(sched, dev);
+  DeviceBuffer edges_dev = dev.alloc(edges.size() * sizeof(double));
+  stream.copy_to_device_async(edges_dev, edges.data(),
+                              edges.size() * sizeof(double));
+  DeviceBuffer emi = dev.alloc(n * sizeof(double));
+  IntegrLaunchConfig cfg;
+  for (int l = 0; l < launches; ++l) {
+    cfg.accumulate = l > 0;
+    gpu_integr_edges_stream(stream, edges_dev, n, f, emi, cfg);
+  }
+  std::vector<double> out(n);
+  stream.copy_to_host_async(out.data(), emi, n * sizeof(double));
+  return out;
+}
+
+/// n equal bins of [lo, hi] as explicit edges.
+std::vector<double> uniform_edges(double lo, double hi, std::size_t n) {
+  std::vector<double> edges(n + 1);
+  for (std::size_t b = 0; b <= n; ++b)
+    edges[b] = lo + (hi - lo) * static_cast<double>(b) / n;
+  return edges;
+}
+
 TEST(GpuIntegr, MatchesHostSimpsonPerBin) {
   Device dev(tesla_c2075(), 0);
   auto f = [](double x) { return std::exp(-x) * x; };
   const std::size_t n = 37;
-  std::vector<double> gpu(n);
-  gpu_integr(dev, 0.0, 3.0, f, gpu);
+  const std::vector<double> edges = uniform_edges(0.0, 3.0, n);
+  const std::vector<double> gpu = run_edges_kernel(dev, edges, f);
   for (std::size_t b = 0; b < n; ++b) {
-    const double lo = 0.0 + 3.0 * static_cast<double>(b) / n;
-    const double hi = 0.0 + 3.0 * static_cast<double>(b + 1) / n;
-    const double host = quad::simpson(f, lo, hi, 64).value;
+    const double host = quad::simpson(f, edges[b], edges[b + 1], 64).value;
     EXPECT_NEAR(gpu[b], host, 1e-15 + 1e-12 * std::fabs(host)) << "bin " << b;
   }
 }
@@ -174,8 +204,8 @@ TEST(GpuIntegr, MatchesHostSimpsonPerBin) {
 TEST(GpuIntegr, SumOfBinsIsTotalIntegral) {
   Device dev(tesla_c2075(), 0);
   auto f = [](double x) { return std::sin(x); };
-  std::vector<double> gpu(64);
-  gpu_integr(dev, 0.0, 3.141592653589793, f, gpu);
+  const std::vector<double> gpu =
+      run_edges_kernel(dev, uniform_edges(0.0, 3.141592653589793, 64), f);
   double total = 0.0;
   for (double v : gpu) total += v;
   EXPECT_NEAR(total, 2.0, 1e-9);
@@ -184,31 +214,20 @@ TEST(GpuIntegr, SumOfBinsIsTotalIntegral) {
 TEST(GpuIntegr, AccumulateModeAddsAcrossLaunches) {
   Device dev(tesla_c2075(), 0);
   auto f = [](double x) { return x; };
-  const std::size_t n = 8;
-  DeviceBuffer emi = dev.alloc(n * sizeof(double));
-  dev.memset_device(emi, 0, n * sizeof(double));
-  IntegrLaunchConfig cfg;
-  cfg.accumulate = true;
-  gpu_integr_device(dev, 0.0, 1.0, n, f, emi, cfg);
-  gpu_integr_device(dev, 0.0, 1.0, n, f, emi, cfg);  // "levels" accumulate
-  std::vector<double> out(n);
-  dev.copy_to_host(out.data(), emi, n * sizeof(double));
+  // "levels" accumulate: 2 launches of the integral of x over [0,1].
+  const std::vector<double> out =
+      run_edges_kernel(dev, uniform_edges(0.0, 1.0, 8), f, 2);
   double total = 0.0;
   for (double v : out) total += v;
-  EXPECT_NEAR(total, 1.0, 1e-12);  // 2 x integral of x over [0,1]
+  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(GpuIntegr, NonUniformEdges) {
   Device dev(tesla_c2075(), 0);
   auto f = [](double x) { return 1.0 / x; };
   const std::vector<double> edges{1.0, 2.0, 4.0, 8.0};  // log-uniform
-  DeviceBuffer edges_dev = dev.alloc(edges.size() * sizeof(double));
-  dev.copy_to_device(edges_dev, edges.data(), edges.size() * sizeof(double));
-  DeviceBuffer emi = dev.alloc(3 * sizeof(double));
-  gpu_integr_edges_device(dev, edges_dev, 3, f, emi);
-  std::vector<double> out(3);
-  dev.copy_to_host(out.data(), emi, 3 * sizeof(double));
-  for (double v : out) EXPECT_NEAR(v, std::log(2.0), 1e-8);
+  for (double v : run_edges_kernel(dev, edges, f))
+    EXPECT_NEAR(v, std::log(2.0), 1e-8);
 }
 
 TEST(GpuIntegr, WorkEstimateScalesWithMethod) {
@@ -223,14 +242,17 @@ TEST(GpuIntegr, WorkEstimateScalesWithMethod) {
 
 TEST(GpuIntegr, ValidatesArguments) {
   Device dev(tesla_c2075(), 0);
+  StreamScheduler sched(dev);
+  Stream stream(sched, dev);
   auto f = [](double x) { return x; };
+  DeviceBuffer edges = dev.alloc(5 * sizeof(double));
   DeviceBuffer small = dev.alloc(8);
-  EXPECT_THROW(gpu_integr_device(dev, 0.0, 1.0, 4, f, small),
+  EXPECT_THROW(gpu_integr_edges_stream(stream, edges, 4, f, small),
                std::out_of_range);
   DeviceBuffer ok = dev.alloc(4 * sizeof(double));
-  EXPECT_THROW(gpu_integr_device(dev, 1.0, 1.0, 4, f, ok),
-               std::invalid_argument);
-  EXPECT_THROW(gpu_integr_device(dev, 0.0, 1.0, 0, f, ok),
+  EXPECT_THROW(gpu_integr_edges_stream(stream, small, 4, f, ok),
+               std::out_of_range);
+  EXPECT_THROW(gpu_integr_edges_stream(stream, edges, 0, f, ok),
                std::invalid_argument);
 }
 

@@ -698,7 +698,7 @@ class Project {
 
   static bool sanctioned_alloc_class(const std::string& cls) {
     return cls == "BufferPool" || cls == "ScratchArena" ||
-           cls == "PooledBuffer" || cls == "ResidentCache";
+           cls == "ResidentCache";
   }
 
   /// BFS over resolved calls from `roots`; `parent`/`parent_call` record
