@@ -5,8 +5,13 @@
 // deterministic transcendentals) and the batched structure-of-arrays path
 // (record / lane-parallel evaluate / replay) — on the same edges, method,
 // and cutoff. Verifies the two emissivity arrays are bitwise identical,
-// then writes a JSON record (schema hspec-bench-kernel-v1) that the CI
+// then writes a JSON record (schema hspec-bench-kernel-v2) that the CI
 // bench-smoke job validates and the tracked BENCH_kernel.json baselines.
+//
+// The record splits the batched path into its two layers, each timed on
+// its own over the same live bins: the integrand pass (RrcBatchIntegrand
+// over every recorded abscissa, ns per evaluation) and the quadrature rule
+// (kernel_abscissae + kernel_combine with no integrand, ns per bin).
 //
 // Raw bins/sec is machine-bound, so the record also carries a calibrated
 // host FMA throughput measurement and the bins/sec normalized by it —
@@ -27,9 +32,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "quad/batch.h"
 #include "quad/integrate.h"
 #include "rrc/rrc.h"
 #include "rrc/rrc_batch.h"
@@ -174,6 +181,57 @@ int main(int argc, char** argv) {
     batch_best_s = std::min(batch_best_s, seconds_since(t0));
   }
 
+  // Layer split. Record every live bin's abscissae once (cutoff clamp as in
+  // the kernel), then time the integrand pass and the rule separately.
+  const std::size_t evals_per_bin =
+      quad::kernel_cost_evals(cfg.method, cfg.method_param);
+  std::vector<double> lefts, rights;
+  for (std::size_t b = 0; b < args.bins; ++b) {
+    if (edges[b + 1] <= cfg.lower_cutoff) continue;
+    lefts.push_back(std::max(edges[b], cfg.lower_cutoff));
+    rights.push_back(edges[b + 1]);
+  }
+  const std::size_t live_bins = lefts.size();
+  std::vector<double> xs(live_bins * evals_per_bin);
+  std::vector<double> ys(xs.size());
+  auto record = [&] {
+    for (std::size_t i = 0; i < live_bins; ++i)
+      quad::kernel_abscissae(cfg.method, cfg.method_param, lefts[i], rights[i],
+                             std::span<double>(xs).subspan(
+                                 i * evals_per_bin, evals_per_bin));
+  };
+  auto replay = [&] {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < live_bins; ++i)
+      sum += quad::kernel_combine(cfg.method, cfg.method_param, lefts[i],
+                                  rights[i],
+                                  std::span<const double>(ys).subspan(
+                                      i * evals_per_bin, evals_per_bin))
+                 .value;
+    return sum;
+  };
+  record();
+  batch_f(xs, ys);
+  double integrand_best_s = 1e300;
+  for (int r = 0; r < args.repeat; ++r) {
+    const Clock::time_point t0 = Clock::now();
+    batch_f(xs, ys);
+    integrand_best_s = std::min(integrand_best_s, seconds_since(t0));
+  }
+  double rule_best_s = 1e300;
+  double rule_sink = 0.0;
+  for (int r = 0; r < args.repeat; ++r) {
+    const Clock::time_point t0 = Clock::now();
+    record();
+    rule_sink += replay();
+    rule_best_s = std::min(rule_best_s, seconds_since(t0));
+  }
+  if (rule_sink == 42.0) std::fprintf(stderr, "unlikely\n");
+  const double integrand_ns_per_eval =
+      integrand_best_s / static_cast<double>(xs.size()) * 1e9;
+  const double rule_ns_per_bin =
+      rule_best_s / static_cast<double>(live_bins) * 1e9;
+
   // The whole point of the batched path is that it is a pure speedup:
   // bitwise-identical output or the run is void.
   std::size_t mismatches = 0;
@@ -195,8 +253,6 @@ int main(int argc, char** argv) {
   const vgpu::WorkEstimate work = vgpu::integr_work(args.bins, cfg);
   const double bytes_per_flop =
       static_cast<double>(work.device_bytes) / work.flops;
-  const std::size_t evals_per_bin =
-      quad::kernel_cost_evals(cfg.method, cfg.method_param);
 
   std::ofstream out(args.out);
   if (!out) {
@@ -207,23 +263,27 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "{\n"
-      "  \"schema\": \"hspec-bench-kernel-v1\",\n"
+      "  \"schema\": \"hspec-bench-kernel-v2\",\n"
       "  \"method\": \"simpson\",\n"
       "  \"panels\": %zu,\n"
       "  \"bins\": %zu,\n"
+      "  \"live_bins\": %zu,\n"
       "  \"evals_per_bin\": %zu,\n"
       "  \"repeat\": %d,\n"
       "  \"scalar_bins_per_s\": %.6e,\n"
       "  \"batch_bins_per_s\": %.6e,\n"
       "  \"speedup\": %.4f,\n"
+      "  \"integrand_ns_per_eval\": %.4f,\n"
+      "  \"rule_ns_per_bin\": %.4f,\n"
       "  \"host_fma_gflops\": %.4f,\n"
       "  \"scalar_bins_per_s_per_gflops\": %.6e,\n"
       "  \"batch_bins_per_s_per_gflops\": %.6e,\n"
       "  \"model_bytes_per_flop\": %.6e,\n"
       "  \"bitwise_identical\": true\n"
       "}\n",
-      args.panels, args.bins, evals_per_bin, args.repeat, scalar_bins_per_s,
-      batch_bins_per_s, speedup, fma_gflops, scalar_bins_per_s / fma_gflops,
+      args.panels, args.bins, live_bins, evals_per_bin, args.repeat,
+      scalar_bins_per_s, batch_bins_per_s, speedup, integrand_ns_per_eval,
+      rule_ns_per_bin, fma_gflops, scalar_bins_per_s / fma_gflops,
       batch_bins_per_s / fma_gflops, bytes_per_flop);
   out << buf;
   out.close();
@@ -231,8 +291,9 @@ int main(int argc, char** argv) {
   std::cout << "kernel roofline: " << args.bins << " bins x " << evals_per_bin
             << " evals  scalar " << scalar_bins_per_s << " bins/s, batched "
             << batch_bins_per_s << " bins/s, speedup " << speedup
-            << "x, host fma " << fma_gflops << " GFLOP/s -> " << args.out
-            << "\n";
+            << "x (integrand " << integrand_ns_per_eval << " ns/eval, rule "
+            << rule_ns_per_bin << " ns/bin), host fma " << fma_gflops
+            << " GFLOP/s -> " << args.out << "\n";
 
   if (args.min_speedup > 0.0 && speedup < args.min_speedup) {
     std::cerr << "micro_kernel_roofline: speedup " << speedup

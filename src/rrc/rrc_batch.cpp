@@ -18,7 +18,11 @@ namespace fm = util::fm;
 // and the Gaunt select multiplies by exactly 1.0 at or below the edge, which
 // is what the scalar branch does. Lanes that the final select discards may
 // compute garbage (e <= 0 gives a nonsense ratio) — that is fine, they are
-// never observed, and none of the ops can trap.
+// never observed. This file builds with -fno-trapping-math (CMakeLists.txt
+// here), which is what lets GCC compute both arms and blend; each function
+// is cloned for x86-64-v3 and baseline (HSPEC_VEC_TARGET), and the
+// codegen_vectorized ctest fails if the x86-64-v3 clones stop using packed
+// 256-bit FMAs.
 
 HSPEC_VEC_TARGET void eval_nogaunt(double binding, double kt, double pref,
                                    double n_over_z2, const double* xs,

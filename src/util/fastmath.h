@@ -3,8 +3,8 @@
 //
 // The batch kernels (src/vgpu/integr_kernel.cpp) are pinned bitwise to the
 // scalar reference, so the integrand math must produce identical bits whether
-// it runs one abscissa at a time in scalar code or lane-parallel inside a
-// target("avx2,fma") loop. libm's exp/log cannot give that guarantee: the
+// it runs one abscissa at a time in scalar code or lane-parallel inside an
+// AVX2+FMA loop. libm's exp/log cannot give that guarantee: the
 // scalar call and any vectorized variant are different code with different
 // rounding histories. These implementations can, because every operation is
 // an elementwise IEEE op (+, -, *, /, compare/select) or an explicit
@@ -19,22 +19,37 @@
 // already zero emissivity.
 //
 // Vectorization notes (why the code looks the way it does):
-//  * the exponent extraction in exp() uses the 2^52+2^51 shifter trick
-//    instead of lrint/static_cast — AVX2 has no int64<->double converts
-//    (those need AVX-512DQ), so a cast would block vectorization;
-//  * the branchless clamp and the bit-level scale construction keep the loop
-//    body select-only, so GCC turns the whole body into blends.
+//  * both functions build integer-valued doubles with the 2^52 magic-number
+//    trick instead of lrint/static_cast: exp() extracts n with the
+//    2^52+2^51 shifter, log() turns the biased exponent into a double by
+//    OR-ing it into the mantissa of 2^52 and subtracting 2^52+1023. AVX2 has
+//    no int64<->double converts (those need AVX-512DQ), so a single cast
+//    would keep the whole loop scalar;
+//  * the branchless clamp, the mantissa-range select and the bit-level scale
+//    construction keep the loop body select-only, so GCC turns the whole
+//    body into blends;
+//  * both are [[gnu::always_inline]]: at -O2 GCC otherwise leaves them as
+//    out-of-line calls, and a loop containing a call cannot vectorize.
+//    Inlining changes no bits — every op still rounds once per element.
 
 #include <bit>
 #include <cstdint>
 #include <cmath>
 
-// Marks a function containing a batch loop for AVX2+FMA code generation.
-// Baseline builds (HSPEC_SIMD off, non-x86, non-GNU) compile the identical
-// source without the attribute; results are bit-identical either way because
-// every op is single-rounding (see above).
-#if defined(HSPEC_SIMD) && defined(__x86_64__) && defined(__GNUC__)
-#define HSPEC_VEC_TARGET __attribute__((target("avx2,fma")))
+// HSPEC_VEC_TARGET marks a function containing a batch loop for runtime ISA
+// dispatch: GCC/Clang emit an x86-64-v3 (AVX2+FMA) clone and a baseline
+// clone behind an ifunc resolver that picks one per process from CPUID, so
+// the same binary runs — with identical bits — on hosts with and without
+// AVX2. Other targets and compilers get the baseline code only; GCC 12 and
+// Clang 19 are the first releases whose resolvers test for the
+// arch=x86-64-vN levels. ThreadSanitizer builds get it too: with GCC 12 a
+// target_clones program built with -fsanitize=thread crashes at load (its
+// ifunc resolver runs during relocation, before the TSan runtime is up).
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__) && \
+    ((defined(__clang__) && __clang_major__ >= 19) ||       \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12))
+#define HSPEC_VEC_TARGET \
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
 #define HSPEC_VEC_TARGET
 #endif
@@ -42,7 +57,7 @@
 namespace hspec::util::fm {
 
 /// Deterministic e^x (clamped to [-708, 708]; ~1 ulp).
-inline double exp(double x) noexcept {
+[[gnu::always_inline]] inline double exp(double x) noexcept {
   constexpr double kLog2e = 1.4426950408889634074;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
@@ -78,7 +93,7 @@ inline double exp(double x) noexcept {
 }
 
 /// Deterministic ln(x) for normal positive x (~1 ulp, fdlibm formulation).
-inline double log(double x) noexcept {
+[[gnu::always_inline]] inline double log(double x) noexcept {
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
@@ -87,9 +102,13 @@ inline double log(double x) noexcept {
   constexpr std::uint64_t kSqrt2Mant = 0x6A09E667F3BCDull;
   const std::uint64_t mant = bits & 0xFFFFFFFFFFFFFull;
   const std::uint64_t hi = mant >= kSqrt2Mant ? 1u : 0u;
+  // ed = biased exponent - 1023 + hi, exactly: the sum fits in the low
+  // mantissa bits, so OR-ing it into 2^52 gives 2^52 + sum with no
+  // rounding, and the difference of two doubles in [2^52, 2^53) is exact.
+  constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;  // 2^52
   const double ed =
-      static_cast<double>(static_cast<std::int64_t>(bits >> 52) - 1023 +
-                          static_cast<std::int64_t>(hi));
+      std::bit_cast<double>(((bits >> 52) + hi) | kTwo52Bits) -
+      (4503599627370496.0 + 1023.0);
   const double m = std::bit_cast<double>(mant | ((1023ull - hi) << 52));
   // log(m) via the atanh identity s = (m-1)/(m+1) with fdlibm's minimax
   // coefficients for the even remainder series.

@@ -46,9 +46,4 @@ BufferPool::Stats BufferPool::stats() const {
   return stats_;
 }
 
-void BufferPool::trim() {
-  util::MutexLock lock(mu_);
-  free_list_.clear();
-}
-
 }  // namespace hspec::vgpu

@@ -35,9 +35,6 @@ class BufferPool {
   };
   Stats stats() const;
 
-  /// Drop all pooled (free) buffers back to the device.
-  void trim();
-
  private:
   Device* device_;
   mutable util::Mutex mu_;

@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apec/calculator.h"
@@ -26,6 +31,8 @@
 #include "quad/integrate.h"
 #include "rrc/rrc.h"
 #include "rrc/rrc_batch.h"
+#include "util/fastmath.h"
+#include "util/rng.h"
 #include "vgpu/arena.h"
 #include "vgpu/device.h"
 #include "vgpu/integr_kernel.h"
@@ -433,6 +440,195 @@ TEST_F(PolicyBatchTest, DegradedExecutorMatchesGpuExecutorBitwise) {
                        "gpu vs degraded, scalar");
   expect_bitwise_equal(gpu_scalar.values(), deg_batch.values(),
                        "gpu vs degraded, batched");
+}
+
+// ------------------------------------------ the integrand, element by element
+//
+// The kernel-level tests above see the integrand only through whole bin
+// integrals. These pin RrcBatchIntegrand to rrc_power_density one abscissa
+// at a time, so a lane that rounds differently fails here with its inputs
+// named. On an AVX2+FMA host the batch calls run the x86-64-v3 clone (its
+// vector body for spans of 4 or more, its scalar remainder for the rest).
+
+std::string describe(const rrc::RrcChannel& ch, const rrc::PlasmaState& plasma,
+                     double e, double want, double got) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "Z=%d n=%d I=%a kT=%a gaunt=%d e=%a: scalar %a, batch %a",
+                ch.recombining_charge, ch.level.n, ch.level.binding_keV,
+                plasma.kT_keV.value(), ch.gaunt_correction ? 1 : 0, e, want,
+                got);
+  return buf;
+}
+
+// Evaluates `es` through RrcBatchIntegrand in one span and compares every
+// element with the scalar integrand. Returns the number of mismatches and
+// keeps the first one's description.
+std::size_t count_integrand_mismatches(const rrc::RrcChannel& ch,
+                                       const rrc::PlasmaState& plasma,
+                                       const std::vector<double>& es,
+                                       std::string& first) {
+  std::vector<double> ys(es.size());
+  rrc::RrcBatchIntegrand(ch, plasma)(es, ys);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < es.size(); ++i) {
+    const double want =
+        rrc::rrc_power_density(ch, plasma, util::KeV{es[i]}).value();
+    if (std::memcmp(&want, &ys[i], sizeof(double)) == 0) continue;
+    if (bad++ == 0) first = describe(ch, plasma, es[i], want, ys[i]);
+  }
+  return bad;
+}
+
+TEST(RrcIntegrandIdentity, RandomizedTriplesMatchScalarBitwise) {
+  // Per Gaunt setting: kChannels random channel/temperature pairs, each at
+  // kEnergies random photon energies from 0.1x to 100x the threshold (about
+  // a third below it). 67 is odd, so every span runs a vector body and a
+  // scalar remainder.
+  constexpr std::size_t kChannels = 1600;
+  constexpr std::size_t kEnergies = 67;
+  util::Xoshiro256 rng(0x5eed'2015'1cbbULL);
+  auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  std::size_t evaluated = 0;
+  for (const bool gaunt : {false, true}) {
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      rrc::RrcChannel ch;
+      ch.recombining_charge = 1 + static_cast<int>(rng.bounded(30));
+      ch.level.n = 1 + static_cast<int>(rng.bounded(10));
+      ch.level.binding_keV = log_uniform(1e-3, 1e2);
+      ch.gaunt_correction = gaunt;
+      const rrc::PlasmaState plasma{util::KeV{log_uniform(1e-3, 1e2)},
+                                    util::PerCm3{log_uniform(1e-2, 1e12)},
+                                    util::PerCm3{log_uniform(1e-2, 1e12)}};
+      std::vector<double> es(kEnergies);
+      for (double& e : es) e = ch.level.binding_keV * log_uniform(0.1, 100.0);
+      std::string first;
+      ASSERT_EQ(count_integrand_mismatches(ch, plasma, es, first), 0u)
+          << first;
+      evaluated += es.size();
+    }
+  }
+  EXPECT_GE(evaluated, 100'000u);
+}
+
+TEST(RrcIntegrandIdentity, EdgeCasesMatchScalarBitwise) {
+  // fm::log moves a mantissa at or above sqrt(2)'s into the next binade.
+  // With a power-of-two threshold, e / I is exact, so these energies put
+  // the Gaunt log's argument on either side of that boundary.
+  constexpr std::uint64_t kSqrt2Mant = 0x6A09E667F3BCDull;
+  constexpr std::uint64_t kOne = 0x3FF0000000000000ull;
+  const double thresholds[] = {1.0, 0.5, 0x1p-7, 0.871, 13.6e-3};
+  const double temperatures[] = {1.0, 1e-3, 30.0};
+  for (const bool gaunt : {false, true}) {
+    for (const double binding : thresholds) {
+      for (const double kt : temperatures) {
+        rrc::RrcChannel ch;
+        ch.recombining_charge = 8;
+        ch.level.n = 2;
+        ch.level.binding_keV = binding;
+        ch.gaunt_correction = gaunt;
+        const rrc::PlasmaState plasma{util::KeV{kt}, util::PerCm3{1.0},
+                                      util::PerCm3{1.0}};
+        const double inf = std::numeric_limits<double>::infinity();
+        // e == I and one ulp either side; e = 0.
+        std::vector<double> es = {binding, std::nextafter(binding, 0.0),
+                                  std::nextafter(binding, inf), 0.0};
+        for (const std::uint64_t mant :
+             {kSqrt2Mant - 1, kSqrt2Mant, kSqrt2Mant + 1}) {
+          const double r = std::bit_cast<double>(kOne | mant);
+          for (const double scale : {1.0, 2.0, 0x1p10})
+            es.push_back(binding * (r * scale));
+        }
+        // -(e - I)/kT below, at and past fm::exp's -708 clamp.
+        for (const double x : {707.9, 708.0, 708.0000001, 709.0, 745.2, 1e4})
+          es.push_back(binding + x * kt);
+        std::string first;
+        EXPECT_EQ(count_integrand_mismatches(ch, plasma, es, first), 0u)
+            << first;
+        // The same energies one at a time: a span shorter than a vector
+        // takes the loop's scalar remainder.
+        for (const double e : es) {
+          EXPECT_EQ(count_integrand_mismatches(ch, plasma, {e}, first), 0u)
+              << first;
+        }
+      }
+    }
+  }
+}
+
+TEST(RrcIntegrandIdentity, GauntLogSweepsEveryBinade) {
+  // With I = 2^-1022 (the smallest normal), e = I * 2^k * m puts e / I at
+  // every binade a finite energy can reach, on both sides of the sqrt(2)
+  // mantissa boundary, through the batched Gaunt log.
+  rrc::RrcChannel ch;
+  ch.recombining_charge = 1;
+  ch.level.n = 1;
+  ch.level.binding_keV = std::numeric_limits<double>::min();
+  ch.gaunt_correction = true;
+  const rrc::PlasmaState plasma{util::KeV{1.0}, util::PerCm3{1.0},
+                                util::PerCm3{1.0}};
+  std::vector<double> es;
+  for (int k = 0; k <= 2045; ++k)
+    for (const double m : {1.0, 1.25, 1.5, 1.99})
+      es.push_back(std::ldexp(m, k - 1022));
+  std::string first;
+  EXPECT_EQ(count_integrand_mismatches(ch, plasma, es, first), 0u) << first;
+}
+
+// fm::log as it was written before its exponent conversion became
+// cast-free: the biased exponent went through an int64 -> double cast,
+// which AVX2 cannot vectorize. Kept verbatim as the oracle for the
+// magic-number form, which must agree with it bit for bit.
+double log_int64_cast_oracle(double x) {
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  constexpr std::uint64_t kSqrt2Mant = 0x6A09E667F3BCDull;
+  const std::uint64_t mant = bits & 0xFFFFFFFFFFFFFull;
+  const std::uint64_t hi = mant >= kSqrt2Mant ? 1u : 0u;
+  const double ed =
+      static_cast<double>(static_cast<std::int64_t>(bits >> 52) - 1023 +
+                          static_cast<std::int64_t>(hi));
+  const double m = std::bit_cast<double>(mant | ((1023ull - hi) << 52));
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  double p = 1.479819860511658591e-01;
+  p = std::fma(p, z, 1.531383769920937332e-01);
+  p = std::fma(p, z, 1.818357216161805012e-01);
+  p = std::fma(p, z, 2.222219843214978396e-01);
+  p = std::fma(p, z, 2.857142874366239149e-01);
+  p = std::fma(p, z, 3.999999999940941908e-01);
+  p = std::fma(p, z, 6.666666666666735130e-01);
+  const double r = z * p;
+  const double hfsq = 0.5 * f * f;
+  const double k1 = std::fma(s, hfsq + r, ed * kLn2Lo);
+  return std::fma(ed, kLn2Hi, f - (hfsq - k1));
+}
+
+TEST(FastMath, LogMatchesInt64CastOracleOnEveryNormalExponent) {
+  constexpr std::uint64_t kSqrt2Mant = 0x6A09E667F3BCDull;
+  constexpr std::uint64_t kMantMask = 0xFFFFFFFFFFFFFull;
+  util::Xoshiro256 rng(0x109'0ff5e7ULL);
+  std::size_t checked = 0;
+  for (std::uint64_t biased = 1; biased <= 2046; ++biased) {
+    std::vector<std::uint64_t> mants = {0,          1,
+                                        kSqrt2Mant - 1, kSqrt2Mant,
+                                        kSqrt2Mant + 1, kMantMask};
+    for (int i = 0; i < 4; ++i) mants.push_back(rng() & kMantMask);
+    for (const std::uint64_t mant : mants) {
+      const double x = std::bit_cast<double>((biased << 52) | mant);
+      const double want = log_int64_cast_oracle(x);
+      const double got = util::fm::log(x);
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "biased exponent " << biased << ", mantissa 0x" << std::hex
+          << mant << ": oracle " << want << ", fm::log " << got;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2046u * 10u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 Dispatches on the record's "schema" key:
 
-  hspec-bench-kernel-v1   — bench/micro_kernel_roofline
+  hspec-bench-kernel-v2   — bench/micro_kernel_roofline
   hspec-hlint-v3          — tools/hlint --json findings report
 
 The kernel record is consumed by the CI bench-smoke job and baselined at
@@ -19,17 +19,20 @@ import sys
 
 # Per-schema required keys (name -> type) and the subset that must be > 0.
 SCHEMAS = {
-    "hspec-bench-kernel-v1": {
+    "hspec-bench-kernel-v2": {
         "required": {
             "schema": str,
             "method": str,
             "panels": int,
             "bins": int,
+            "live_bins": int,
             "evals_per_bin": int,
             "repeat": int,
             "scalar_bins_per_s": float,
             "batch_bins_per_s": float,
             "speedup": float,
+            "integrand_ns_per_eval": float,
+            "rule_ns_per_bin": float,
             "host_fma_gflops": float,
             "scalar_bins_per_s_per_gflops": float,
             "batch_bins_per_s_per_gflops": float,
@@ -39,11 +42,14 @@ SCHEMAS = {
         "positive": [
             "panels",
             "bins",
+            "live_bins",
             "evals_per_bin",
             "repeat",
             "scalar_bins_per_s",
             "batch_bins_per_s",
             "speedup",
+            "integrand_ns_per_eval",
+            "rule_ns_per_bin",
             "host_fma_gflops",
             "model_bytes_per_flop",
         ],
