@@ -70,7 +70,7 @@ void Device::copy_to_device(DeviceBuffer& dst, const void* src,
     if (verdict.fail) throw util::FaultError(verdict.site, id_);
   }
   std::memcpy(dst.device_ptr(), src, bytes);
-  util::MutexLock lock(mu_);
+  util::MutexLock lock(stats_mu_);
   ++stats_.h2d_copies;
   stats_.bytes_h2d += bytes;
   stats_.transfer_time_s += model_.transfer_time_s(bytes);
@@ -86,7 +86,7 @@ void Device::copy_to_host(void* dst, const DeviceBuffer& src,
     if (verdict.fail) throw util::FaultError(verdict.site, id_);
   }
   std::memcpy(dst, src.device_ptr(), bytes);
-  util::MutexLock lock(mu_);
+  util::MutexLock lock(stats_mu_);
   ++stats_.d2h_copies;
   stats_.bytes_d2h += bytes;
   stats_.transfer_time_s += model_.transfer_time_s(bytes);
@@ -105,12 +105,13 @@ void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
     const util::FaultDecision timeout =
         fault_plan_->query(util::FaultSite::kernel_timeout, id_);
     if (timeout.fail) {
-      util::MutexLock lock(mu_);
+      util::MutexLock lock(stats_mu_);
       stats_.kernel_time_s += timeout.penalty_s;
       throw util::FaultError(timeout.site, id_);
     }
   }
-  util::MutexLock lock(mu_);  // Fermi: queued kernels execute serially
+  // No lock around the body: Fermi serialization lives on the virtual clock
+  // (see the thread model in device.h).
   KernelCtx ctx;
   ctx.grid_dim = grid;
   ctx.block_dim = block;
@@ -125,17 +126,18 @@ void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
               kernel(ctx);
             }
       }
+  util::MutexLock lock(stats_mu_);
   ++stats_.kernels_launched;
   stats_.kernel_time_s += model_.kernel_time_s(work);
 }
 
 double Device::busy_time_s() const noexcept {
-  util::MutexLock lock(mu_);
+  util::MutexLock lock(stats_mu_);
   return stats_.kernel_time_s + stats_.transfer_time_s;
 }
 
 DeviceStats Device::stats() const {
-  util::MutexLock lock(mu_);
+  util::MutexLock lock(stats_mu_);
   return stats_;
 }
 

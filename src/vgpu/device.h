@@ -5,10 +5,16 @@
 // the cost model, so launch/copy overheads shape performance exactly as on
 // the paper's Fermi cards.
 //
-// Thread model: many MPI ranks share one device. On Fermi, queued kernels
-// run serially ("application-level context switching"), which the device
-// enforces with an internal mutex; the virtual clock therefore accumulates
-// serialized kernel time like the real card.
+// Thread model: many MPI ranks share one device, and their kernel bodies and
+// copies run concurrently on the host threads that issue them. Every body
+// writes only memory its own launch owns (DESIGN.md §9 lists them). The
+// Fermi card runs queued kernels one at a time ("application-level context
+// switching"); that is modelled on the virtual clock only — by
+// StreamScheduler's kernel lanes for stream launches, and by busy_time_s,
+// which sums every kernel's virtual time. busy_time_s does not depend on
+// the order in which the host runs the bodies; the stream makespan is a
+// greedy schedule in the order launches finish on the host. The device's
+// one mutex guards its stats and nothing else.
 
 #include <atomic>
 #include <cstddef>
@@ -136,8 +142,11 @@ class Device {
   void copy_to_host(void* dst, const DeviceBuffer& src, std::size_t bytes);
 
   /// Launch a kernel over grid x block threads. `work` is the caller's work
-  /// estimate used for virtual-time accounting. Threads execute sequentially
-  /// on the host; the device serializes concurrent launches (Fermi model).
+  /// estimate used for virtual-time accounting. The virtual threads execute
+  /// in order on the calling host thread, with no lock held, so launches
+  /// from different threads overlap on the host; the kernel must write only
+  /// memory its caller owns. Fermi serialization is charged on the virtual
+  /// clock (busy_time_s, StreamScheduler), not enforced here.
   void launch(Dim3 grid, Dim3 block, const WorkEstimate& work, Kernel kernel);
 
   /// Virtual time this device has spent busy [s].
@@ -157,9 +166,9 @@ class Device {
   GpuCostModel model_;
   int id_;
   std::atomic<std::size_t> allocated_{0};
-  // Serializes execution and stats (Fermi "application-level context switch").
-  mutable util::Mutex mu_;
-  DeviceStats stats_ HSPEC_GUARDED_BY(mu_);
+  // Guards the counters only; kernel bodies and memcpys run outside it.
+  mutable util::Mutex stats_mu_;
+  DeviceStats stats_ HSPEC_GUARDED_BY(stats_mu_);
   // Written once before the ranks launch (thread creation provides the
   // happens-before), read on every fallible operation.
   util::FaultPlan* fault_plan_ = nullptr;

@@ -130,8 +130,9 @@ void gpu_integr_edges_stream(Stream& stream, const DeviceBuffer& edges_dev,
   const double* edges = edges_dev.as<const double>();
   double* emi = emi_dev.as<double>();
   // Scratch for the abscissa and value arrays is bump-allocated once per
-  // launch and shared by the virtual threads (they execute sequentially
-  // under the device mutex); in the steady state the arena serves it
+  // launch and shared by the launch's virtual threads, which run in order
+  // on the calling thread; the arena belongs to the calling rank's lane, so
+  // no other launch touches it. In the steady state the arena serves it
   // without touching the heap.
   const std::size_t evals =
       quad::kernel_cost_evals(cfg.method, cfg.method_param);

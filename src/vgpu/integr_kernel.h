@@ -26,8 +26,9 @@
 //    records the abscissae of its bins, evaluates them in one vectorizable
 //    pass, and replays the rule over the results (quad/batch.h). Bitwise
 //    identical to the scalar form whenever the batch integrand matches the
-//    scalar integrand pointwise, and ~3x faster on the host because the
-//    transcendentals amortize across SIMD lanes.
+//    scalar integrand pointwise, and ~10x faster on the host because the
+//    transcendentals amortize across SIMD lanes (BENCH_kernel.json:
+//    10.7x on Simpson-64, Release, AVX2 clone).
 //
 // The batched forms take a ScratchArena for their transient abscissa/value
 // arrays; steady-state launches allocate nothing once the arena is warm

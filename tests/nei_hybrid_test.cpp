@@ -28,10 +28,12 @@ PlasmaHistory constant_history(double ne, double kT) {
 
 // ----------------------------------------------------------- hybrid driver
 
-TEST(NeiHybrid, MatchesCpuOnlyEvolution) {
+// Runs `n_points` points through the hybrid driver on `ranks` ranks over
+// `devices` devices and expects every ion fraction to equal the CPU path's.
+void expect_hybrid_matches_cpu(int n_points, int ranks, int devices) {
   const auto hist = constant_history(1.0, 1.5);
   std::vector<PointState> points;
-  for (int p = 0; p < 3; ++p)
+  for (int p = 0; p < n_points; ++p)
     points.push_back(PointState::equilibrium({8, 26}, KeV{0.1 + 0.1 * p}));
 
   // Reference: every point evolved on the CPU path.
@@ -39,17 +41,24 @@ TEST(NeiHybrid, MatchesCpuOnlyEvolution) {
   for (auto& st : reference) evolve_point_cpu(st, hist, 0.0, 1e8, 30);
 
   NeiHybridConfig cfg;
-  cfg.ranks = 3;
-  cfg.devices = 2;
+  cfg.ranks = ranks;
+  cfg.devices = devices;
   const auto result = run_nei_hybrid(points, hist, 0.0, 1e8, 30, cfg);
 
-  ASSERT_EQ(result.states.size(), 3u);
-  for (std::size_t p = 0; p < 3; ++p)
+  ASSERT_EQ(result.states.size(), points.size());
+  for (std::size_t p = 0; p < points.size(); ++p)
     for (std::size_t e = 0; e < reference[p].ions.size(); ++e)
       for (std::size_t j = 0; j < reference[p].ions[e].size(); ++j)
         EXPECT_DOUBLE_EQ(result.states[p].ions[e][j],
                          reference[p].ions[e][j])
             << "point " << p << " element " << e << " state " << j;
+}
+
+TEST(NeiHybrid, MatchesCpuOnlyEvolution) { expect_hybrid_matches_cpu(3, 3, 2); }
+
+TEST(NeiHybrid, MatchesCpuOnlyWithMoreRanksThanDevices) {
+  // Four ranks on one device: their NEI kernels run on the host at once.
+  expect_hybrid_matches_cpu(8, 4, 1);
 }
 
 TEST(NeiHybrid, SchedulerAccounting) {

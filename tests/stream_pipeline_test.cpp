@@ -168,6 +168,19 @@ TEST_F(PipelineTest, KeplerHyperQStillBitIdentical) {
   EXPECT_LT(async.virtual_makespan_s, sync.virtual_makespan_s);
 }
 
+TEST_F(PipelineTest, FourRanksOnOneDeviceBitIdentical) {
+  // Four ranks share one device, so their kernel bodies overlap on the
+  // host; every run must still match one rank on one device bit for bit.
+  const auto pts = points(6);
+  const HybridResult reference = run(ExecutionMode::synchronous, 1, 1, pts);
+  expect_bit_identical(reference, run(ExecutionMode::synchronous, 4, 1, pts));
+  expect_bit_identical(reference, run(ExecutionMode::pipelined, 4, 1, pts));
+  ::setenv("HSPEC_VGPU_ARCH", "kepler", 1);
+  const HybridResult kepler = run(ExecutionMode::pipelined, 4, 1, pts);
+  ::unsetenv("HSPEC_VGPU_ARCH");
+  expect_bit_identical(reference, kepler);
+}
+
 TEST_F(PipelineTest, ValidatesPipelineConfig) {
   HybridConfig bad;
   bad.pipeline_depth = 0;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "sim/hybrid_sim.h"
@@ -56,6 +58,44 @@ TEST(Stream, KeplerOverlapsAcrossStreams) {
   // Full overlap: both streams complete at the solo duration.
   EXPECT_NEAR(b.synchronize(), a.synchronize(), 1e-12);
   EXPECT_NEAR(sched.device_sync_time(), a.synchronize(), 1e-12);
+}
+
+// Four host threads, each with its own stream on one device, launch 8
+// kernels apiece at once (their bodies overlap on the host). Returns the
+// device's virtual drain time.
+double four_ranks_eight_kernels(Device& dev) {
+  StreamScheduler sched(dev);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 4; ++r)
+    ranks.emplace_back([&] {
+      Stream s(sched, dev);
+      while (!go.load()) std::this_thread::yield();
+      for (int k = 0; k < 8; ++k)
+        s.launch_async({1, 1, 1}, {1, 1, 1}, one_ms_kernel(),
+                       [](const KernelCtx&) {});
+    });
+  go.store(true);
+  for (std::thread& t : ranks) t.join();
+  return sched.device_sync_time();
+}
+
+TEST(Stream, FermiSerializesConcurrentRanksOnTheVirtualClock) {
+  // Fermi runs one kernel at a time whatever order the host ran the bodies
+  // in: the 32 kernels queue end to end on the virtual clock.
+  Device dev(tesla_c2075(), 0);
+  const double solo = dev.cost_model().kernel_time_s(one_ms_kernel());
+  EXPECT_NEAR(four_ranks_eight_kernels(dev), 32.0 * solo, 1e-9);
+  EXPECT_NEAR(dev.busy_time_s(), 32.0 * solo, 1e-9);
+  EXPECT_EQ(dev.stats().kernels_launched, 32u);
+}
+
+TEST(Stream, KeplerOverlapsConcurrentRanksOnTheVirtualClock) {
+  // Hyper-Q: the four streams run side by side, each 8 kernels deep.
+  Device dev(tesla_k20(), 0);
+  const double solo = dev.cost_model().kernel_time_s(one_ms_kernel());
+  EXPECT_NEAR(four_ranks_eight_kernels(dev), 8.0 * solo, 1e-9);
+  EXPECT_EQ(dev.stats().kernels_launched, 32u);
 }
 
 TEST(Stream, CopyEnginesPerDirectionOverlap) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "quad/newton_cotes.h"
@@ -138,6 +141,31 @@ TEST(Device, VirtualClockAccumulates) {
   EXPECT_GT(t1, 7e-3);
   dev.launch({1, 1, 1}, {1, 1, 1}, {1e9, 0}, [](const KernelCtx&) {});
   EXPECT_NEAR(dev.busy_time_s(), 2.0 * t1, 1e-9);
+  EXPECT_EQ(dev.stats().kernels_launched, 2u);
+}
+
+TEST(Device, LaunchesFromTwoThreadsOverlapOnTheHost) {
+  // Each kernel body waits until both bodies are running. If launch held a
+  // lock across the body, the first one would wait alone until the deadline
+  // (the test fails instead of hanging).
+  Device dev(tesla_c2075(), 0);
+  std::atomic<int> running{0};
+  std::atomic<int> met{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto launch_and_wait = [&] {
+    dev.launch({1, 1, 1}, {1, 1, 1}, {}, [&](const KernelCtx&) {
+      running.fetch_add(1);
+      while (running.load() < 2)
+        if (std::chrono::steady_clock::now() > deadline) return;
+      met.fetch_add(1);
+    });
+  };
+  std::thread a(launch_and_wait);
+  std::thread b(launch_and_wait);
+  a.join();
+  b.join();
+  EXPECT_EQ(met.load(), 2);
   EXPECT_EQ(dev.stats().kernels_launched, 2u);
 }
 
