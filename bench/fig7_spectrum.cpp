@@ -86,10 +86,10 @@ int main() {
   for (const auto& st : result.device_stats) async_h2d += st.bytes_h2d;
   std::printf(
       "\npipelined executor: %llu streams, %llu cache hits, %llu tasks "
-      "in flight at peak, %llu steals\n",
+      "run for another rank's point, %llu steals\n",
       static_cast<unsigned long long>(result.pipeline.streams_used),
       static_cast<unsigned long long>(result.pipeline.cache_hits),
-      static_cast<unsigned long long>(result.pipeline.max_in_flight),
+      static_cast<unsigned long long>(result.pipeline.shared_tasks),
       static_cast<unsigned long long>(result.pipeline.steals));
   std::printf(
       "virtual device timeline: sync %.4fs -> pipelined %.4fs (%.2fx); "

@@ -3,40 +3,39 @@
 // synchronous mode is supported in the task scheduler ... some asynchronous
 // task queuing mechanism must be introduced to keep CPUs busy."
 //
-// Every task of every batch runs through AsyncGpuExecutor::submit, whatever
+// Every task of every batch runs through AsyncGpuExecutor::run, whatever
 // the ExecutionMode; the mode only configures it. One task type and one
 // place that picks its implementation: the device kernels on a stream, the
-// kernel-equivalent host path (degraded), or QAGS (full queues).
+// kernel-equivalent host path (degraded), or — left to the owning rank —
+// the closed form and QAGS (full queues).
 //
 //  * pipelined (production): `pipeline_depth` streams per rank per device,
 //    so the H2D-free kernel chain and D2H readback of consecutive tasks
 //    overlap per the device's concurrency rules (copy / compute overlap on
 //    Fermi, up to 32-wide Hyper-Q on Kepler); the bin edges are leased from
 //    the device's ResidentCache — one upload per device for the executor's
-//    lifetime instead of one per task; and each in-flight task owns an emi
-//    device buffer plus a host staging array, recycled through the
-//    device's BufferPool as tasks drain;
+//    lifetime instead of one per task;
 //  * synchronous (the paper's blocking loop, kept as the ablation
-//    baseline): depth 1, the bin edges uploaded per task from the pool over
-//    the stream (no resident lease), and every task drained before submit
-//    returns, so a rank holds at most one device slot.
+//    baseline): one stream per rank per device, and the bin edges uploaded
+//    per task from the pool over the stream (no resident lease).
 //
-// Ordering contract: results drain through one per-rank FIFO in submission
-// order, and CPU-fallback / closed-form tasks travel through the same FIFO,
-// so the floating-point accumulation order is the same in both modes —
-// spectra are bit-identical between them. (On the virtual GPU all work
-// executes eagerly on the host; deferring the *accumulation* costs nothing
-// real and keeps the virtual timeline honest.)
+// A task finishes inside run(): its raw per-bin emissivity lands in the
+// caller's staging array and its device slot is freed before run returns,
+// so the executor holds nothing between calls and a task may run on any
+// rank. Accumulation into a spectrum is the owning rank's job, in task
+// order (HybridExecutor's task board, DESIGN.md §16), which keeps spectra
+// bit-identical whichever rank ran which task. (On the virtual GPU all
+// work executes eagerly on the host; the virtual timeline follows the
+// streams, not the host order.)
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "apec/calculator.h"
-#include "apec/spectrum.h"
-#include "core/cpu_task_executor.h"
 #include "core/hybrid.h"
 #include "core/scheduler.h"
 #include "core/task.h"
@@ -45,6 +44,10 @@
 #include "vgpu/device.h"
 #include "vgpu/resident_cache.h"
 #include "vgpu/stream.h"
+
+namespace hspec::util {
+class FaultPlan;
+}
 
 namespace hspec::core {
 
@@ -69,90 +72,75 @@ struct DevicePipeline {
         pool(&buffer_pool) {}
 };
 
+/// What run() leaves for the rank that owns the task's grid point to add
+/// to the spectrum, at the task's position.
+enum class TaskOutcome : std::uint8_t {
+  emi,          ///< the staging array holds the per-bin emissivity
+  closed_form,  ///< accumulate the ion's closed form on the host
+  qags,         ///< queues were full: the paper's QAGS path
+};
+
 /// One rank's task executor. Not thread-safe: each rank owns one.
 class AsyncGpuExecutor {
  public:
   struct Stats {
-    std::uint64_t gpu_tasks = 0;    ///< tasks that ran on a device stream
-    std::uint64_t max_in_flight = 0;  ///< pipeline high-water mark (GPU tasks)
+    std::uint64_t gpu_tasks = 0;  ///< tasks that ran on a device stream
   };
 
   /// `pipelines[d]` must outlive the executor. `mode` configures it (see
-  /// the file comment); `depth` is the number of in-flight tasks (and
-  /// streams) this rank keeps per device when pipelined — synchronous mode
-  /// always runs at depth 1. `max_attempts` bounds device attempts per task
-  /// before it degrades to the host; `recovery` arms the health reporting
-  /// (set when a FaultPlan is installed, so the fault-free hot path pays
-  /// nothing); `fault_stats`, when non-null, receives this rank's recovery
+  /// the file comment); `depth` is the number of streams this rank rotates
+  /// over per device when pipelined — synchronous mode always uses one.
+  /// `max_attempts` bounds device attempts per task before it degrades to
+  /// the host; a non-null `plan` arms the health reporting and the
+  /// host-side task_throw site (the fault-free hot path pays nothing);
+  /// `fault_stats`, when non-null, receives this rank's recovery
   /// accounting.
   AsyncGpuExecutor(const apec::SpectrumCalculator& calc,
                    const std::vector<DevicePipeline*>& pipelines,
-                   TaskScheduler& scheduler, const CpuTaskExecutor& cpu,
-                   ExecutionMode mode, int depth, int max_attempts,
-                   bool recovery, FaultStats* fault_stats);
+                   TaskScheduler& scheduler, ExecutionMode mode, int depth,
+                   int max_attempts, util::FaultPlan* plan,
+                   FaultStats* fault_stats);
 
-  /// Queue one task. `device` is the scheduler's verdict: >= 0 runs the
-  /// task on that device (the load slot is released when the task drains),
-  /// -1 defers it to the QAGS path. May drain older tasks to honour the
-  /// depth; in synchronous mode the task has drained when this returns.
-  void submit(const SpectralTask& task, const apec::PointPopulations& pops,
-              int device, apec::Spectrum& spectrum);
-
-  /// Drain every in-flight task (accumulate + sche_free, in order). Must be
-  /// called before reading any spectrum passed to submit() — the driver
-  /// drains at each grid-point boundary.
-  void drain_all();
-
-  ~AsyncGpuExecutor();  // drains; a non-empty pipeline must not be dropped
+  /// Run one task. `device` is the scheduler's verdict: >= 0 runs the task
+  /// on that device; -1 leaves it to QAGS, or, when every device is
+  /// quarantined, to the degraded host replay. The device slot is released
+  /// before run returns, on every path, exceptions included. Device faults
+  /// retry with requeue and, past the budget, degrade to the
+  /// kernel-equivalent host replay; either way an `emi` outcome has
+  /// written all of `emi` (resized to the grid's bin count). Any other
+  /// error propagates.
+  TaskOutcome run(const SpectralTask& task, const apec::PointPopulations& pops,
+                  int device, std::vector<double>& emi);
 
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Slot {
-    SpectralTask task;
-    const apec::PointPopulations* pops = nullptr;
-    apec::Spectrum* target = nullptr;
-    int free_device = -1;  ///< sche_free() this device on drain (-1: none)
-    bool gpu = false;      ///< emi/staging hold device results to accumulate
-    /// Retry budget exhausted (or all devices quarantined): drain runs the
-    /// kernel-equivalent host path in this slot's FIFO position, keeping
-    /// the accumulation order — and hence bit-identity — intact.
-    bool degraded = false;
-    /// Synchronous mode's per-task copy of the bin edges (pipelined mode
-    /// leases the resident copy instead and leaves this invalid).
-    vgpu::DeviceBuffer edges;
-    vgpu::DeviceBuffer emi;
-    std::vector<double> staging;
-  };
-
   struct Lane {
     std::vector<std::unique_ptr<vgpu::Stream>> streams;
     std::size_t next_stream = 0;
-    int in_flight = 0;
     /// Batch-integrand scratch for this rank's launches on the device,
-    /// reset once per submitted task: stream launches execute eagerly on
-    /// the host, so nothing in flight holds arena spans, and steady-state
-    /// tasks allocate nothing.
+    /// reset once per task: stream launches execute eagerly on the host,
+    /// so nothing in flight holds arena spans, and steady-state tasks
+    /// allocate nothing.
     vgpu::ScratchArena arena;
   };
 
-  void submit_gpu(Slot& slot, int device);
-  void drain_front();
-  /// Undo a partially submitted slot after a fault (return its buffers).
-  void abort_slot(Slot& slot, int device) noexcept;
+  /// One device attempt: the level kernels on this rank's next stream and
+  /// the one readback into `emi`. Throws util::FaultError on a fault; the
+  /// device buffers go back to the pool on every path.
+  void run_on_device(const SpectralTask& task,
+                     const apec::PointPopulations& pops, int device,
+                     std::span<double> emi);
 
   const apec::SpectrumCalculator* calc_;
   std::vector<DevicePipeline*> pipelines_;
   TaskScheduler* scheduler_;
-  const CpuTaskExecutor* cpu_;
   ExecutionMode mode_;
   int depth_;
   int max_attempts_;
-  bool recovery_;
+  util::FaultPlan* plan_;
   FaultStats* fstats_;
-  std::vector<Lane> lanes_;            // one per device
-  std::deque<Slot> fifo_;              // drains in submission order
-  std::vector<std::vector<double>> staging_pool_;
+  std::vector<Lane> lanes_;  // one per device
   Stats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/cpu_task_executor.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/gpu_task_executor.h"
@@ -47,13 +48,22 @@ std::size_t execute_task_degraded(const apec::SpectrumCalculator& calc,
     return 0;
   }
   const std::size_t n_bins = calc.grid().bin_count();
-  std::vector<double> emi(n_bins, 0.0);
+  std::vector<double> emi(n_bins);
+  integrate_task_degraded(calc, task, pops, emi);
+  accumulate_task_result(calc, task, pops, emi, spectrum);
+  return n_bins;
+}
+
+void integrate_task_degraded(const apec::SpectrumCalculator& calc,
+                             const SpectralTask& task,
+                             const apec::PointPopulations& pops,
+                             std::span<double> emi) {
+  // A task with no levels launches nothing and leaves emi untouched.
+  std::fill(emi.begin(), emi.end(), 0.0);
   // Degradation is rare, so the batch scratch is task-local here.
   vgpu::ScratchArena scratch;
   integrate_task_levels(calc, task, pops, {nullptr, nullptr, nullptr, emi},
                         scratch);
-  accumulate_task_result(calc, task, pops, emi, spectrum);
-  return n_bins;
 }
 
 }  // namespace hspec::core

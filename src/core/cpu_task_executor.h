@@ -3,6 +3,8 @@
 // process will continue to achieve the task by calling traditional QAGS
 // routine serially."
 
+#include <span>
+
 #include "apec/calculator.h"
 #include "apec/spectrum.h"
 #include "core/task.h"
@@ -43,5 +45,13 @@ std::size_t execute_task_degraded(const apec::SpectrumCalculator& calc,
                                   const SpectralTask& task,
                                   const apec::PointPopulations& pops,
                                   apec::Spectrum& spectrum);
+
+/// The degraded path's integration alone, for a task without a closed form:
+/// its per-bin emissivity written into `emi` (one value per bin), for the
+/// caller to accumulate with accumulate_task_result.
+void integrate_task_degraded(const apec::SpectrumCalculator& calc,
+                             const SpectralTask& task,
+                             const apec::PointPopulations& pops,
+                             std::span<double> emi);
 
 }  // namespace hspec::core

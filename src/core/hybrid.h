@@ -16,16 +16,18 @@
 // Every task runs through one executor (core/async_executor.h); the two
 // execution modes are two configurations of it and share every scheduling
 // decision:
-//  * synchronous — the paper's shipped mode: depth 1, the rank blocks on
-//    each GPU task and re-uploads the bin edges every time (kept as the
+//  * synchronous — the paper's shipped mode: one stream per rank per
+//    device, and the bin edges re-uploaded for every task (kept as the
 //    ablation baseline);
-//  * pipelined — the §V remedy: per-rank streams, resident edge cache and
-//    double-buffered accumulators. Spectra are bit-identical between the
-//    modes; only the virtual timeline and the PCIe byte counts differ.
+//  * pipelined — the §V remedy: `pipeline_depth` streams per rank per
+//    device and the resident edge cache. Spectra are bit-identical between
+//    the modes; only the virtual timeline and the PCIe byte counts differ.
 // Grid points are distributed by the work-stealing PointWorkQueue in shm
 // (each rank drains its own contiguous range, then steals from the most
 // loaded victim) instead of the old static split, so a slow rank no longer
-// sets the wall clock.
+// sets the wall clock. Within a point, the ion tasks are shared: ranks
+// with no point of their own run the tasks of points other ranks own
+// (DESIGN.md §16).
 //
 // HybridDriver is the one-shot facade: run() builds a fresh device stack,
 // executes one batch and tears everything down. The long-lived form —
@@ -61,16 +63,16 @@ struct HybridConfig {
   /// "it can run normally in the runtime environment without GPU device").
   int devices = -1;
   /// How the one task executor is configured. Pipelined is the production
-  /// default; synchronous is the paper's blocking loop (depth 1, per-task
-  /// edge uploads, every task drained before the next is submitted), kept
-  /// as the ablation baseline.
+  /// default; synchronous is the paper's blocking loop (one stream, per-task
+  /// edge uploads), kept as the ablation baseline.
   ExecutionMode mode = ExecutionMode::pipelined;
   /// Device-selection strategy for every task (core/sched_policy.h): the
   /// paper's Algorithm 1 min-load pick, the only supported value. Both
   /// modes and the service share run_batch's single decision site.
   SchedulingPolicyKind scheduling_policy = SchedulingPolicyKind::dynamic_min_load;
-  /// In-flight GPU tasks (and streams) per rank per device when pipelined;
-  /// synchronous mode always runs at depth 1.
+  /// Streams per rank per device when pipelined: consecutive tasks rotate
+  /// across them, so their copies and kernels overlap on the virtual
+  /// timeline. Synchronous mode always uses one.
   int pipeline_depth = 2;
   /// Grid points claimed per work-queue visit (steal granularity).
   std::int64_t steal_chunk = 1;
@@ -94,7 +96,7 @@ struct HybridConfig {
 
 /// Counters of the task executor's streams and resident cache, and of the
 /// work-stealing queue. Both modes fill them: synchronous mode reports its
-/// depth-1 streams, max_in_flight == 1 and no resident-cache traffic.
+/// depth-1 streams and no resident-cache traffic.
 struct PipelineStats {
   std::uint64_t streams_used = 0;      ///< streams opened across all devices
   std::uint64_t cache_hits = 0;        ///< resident-cache leases served free
@@ -103,7 +105,9 @@ struct PipelineStats {
   std::uint64_t steals = 0;            ///< point chunks taken from other ranks
   std::uint64_t stolen_points = 0;     ///< grid points inside those chunks
   std::uint64_t tasks_pipelined = 0;   ///< GPU tasks that ran through streams
-  std::uint64_t max_in_flight = 0;     ///< deepest pipeline any rank reached
+  /// Tasks run by a rank other than their grid point's owner (intra-point
+  /// task sharing, DESIGN.md §16).
+  std::uint64_t shared_tasks = 0;
 };
 
 struct HybridResult {

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "core/cpu_task_executor.h"
+#include "core/gpu_task_executor.h"
 #include "minimpi/minimpi.h"
 #include "util/dcheck.h"
 #include "util/fault.h"
@@ -53,6 +56,124 @@ vgpu::DeviceStats delta(const vgpu::DeviceStats& now,
   d.transfer_time_s = now.transfer_time_s - before.transfer_time_s;
   return d;
 }
+
+/// One rank's task board (DESIGN.md §16): the ion tasks of the grid point
+/// the rank owns, open for any rank to claim. One board per rank per batch,
+/// reused from point to point.
+///
+/// The owner fills `pops` and `tasks` while no claim is in flight, then
+/// publish() opens them with a release store of the packed word
+/// (generation, n, next). A runner claims task `next` with a CAS on that
+/// word (acquire on success, so it sees the owner's writes), writes the
+/// task's staging array and outcome, and finish() bumps `done` (release).
+/// The owner closes the board, and once `done` (acquire) equals the number
+/// of tasks claimed, every staging array and outcome is visible to it and
+/// no runner touches the board again. A stale generation fails the CAS, so
+/// no rank can claim a task of a point the owner has retired.
+class alignas(64) TaskBoard {
+ public:
+  apec::PointPopulations pops;
+  std::vector<SpectralTask> tasks;
+  std::vector<std::vector<double>> staging;  ///< one emissivity array per task
+  std::vector<TaskOutcome> outcome;          ///< per-task state, set by the runner
+
+  /// Open `tasks` for claiming under a new generation.
+  void publish() {
+    if (tasks.size() > kFieldMask)
+      throw std::length_error("HybridExecutor: too many tasks in one point");
+    if (staging.size() < tasks.size()) staging.resize(tasks.size());
+    outcome.resize(tasks.size());
+    done_.store(0, std::memory_order_relaxed);
+    const std::uint64_t gen =
+        ((word_.load(std::memory_order_relaxed) >> (2 * kFieldBits)) + 1) &
+        kGenMask;
+    word_.store(pack(gen, tasks.size(), 0), std::memory_order_release);
+  }
+
+  /// Claim the next open task: its index, or -1 when none is open.
+  std::int64_t claim() {
+    std::uint64_t w = word_.load(std::memory_order_acquire);
+    while (next(w) < count(w)) {
+      if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                      std::memory_order_acquire))
+        return static_cast<std::int64_t>(next(w));
+    }
+    return -1;
+  }
+
+  /// The runner of a claimed task is done with it, failed or not.
+  void finish() { done_.fetch_add(1, std::memory_order_release); }
+
+  /// Owner: stop further claims; returns how many tasks were claimed.
+  std::uint64_t close() {
+    std::uint64_t w = word_.load(std::memory_order_relaxed);
+    while (!word_.compare_exchange_weak(
+        w, pack(w >> (2 * kFieldBits), count(w), count(w)),
+        std::memory_order_relaxed, std::memory_order_relaxed)) {
+    }
+    return next(w);
+  }
+
+  /// Owner: every one of the `claimed` tasks has finished.
+  bool settled(std::uint64_t claimed) const {
+    return done_.load(std::memory_order_acquire) == claimed;
+  }
+
+ private:
+  static constexpr int kFieldBits = 20;
+  static constexpr std::uint64_t kFieldMask = (1ULL << kFieldBits) - 1;
+  static constexpr std::uint64_t kGenMask = (1ULL << (64 - 2 * kFieldBits)) - 1;
+
+  static std::uint64_t pack(std::uint64_t gen, std::uint64_t n,
+                            std::uint64_t next) {
+    return (gen << (2 * kFieldBits)) | (n << kFieldBits) | next;
+  }
+  static std::uint64_t count(std::uint64_t w) {
+    return (w >> kFieldBits) & kFieldMask;
+  }
+  static std::uint64_t next(std::uint64_t w) { return w & kFieldMask; }
+
+  std::atomic<std::uint64_t> word_{0};
+  std::atomic<std::uint64_t> done_{0};
+};
+
+/// Batch-wide cancellation and the ranks' exit condition. The first error
+/// on any rank is kept and cancels the batch: owners stop claiming, close
+/// their boards and abandon their points; helpers stop helping.
+class BatchControl {
+ public:
+  explicit BatchControl(int ranks) : owners_(ranks) {}
+
+  void fail(std::exception_ptr error) HSPEC_EXCLUDES(mu_) {
+    {
+      util::MutexLock lock(mu_);
+      if (!error_) error_ = std::move(error);
+    }
+    cancelled_.store(true, std::memory_order_release);
+  }
+  bool cancelled() const {
+    return cancelled_.load(std::memory_order_acquire);
+  }
+
+  /// A rank has no point left and its board is settled.
+  void owner_done() { owners_.fetch_sub(1, std::memory_order_release); }
+  /// Some rank may still publish or own tasks.
+  bool owners_working() const {
+    return owners_.load(std::memory_order_acquire) > 0;
+  }
+
+  /// After the ranks join: rethrow the first error, if any.
+  void rethrow_if_failed() HSPEC_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  util::Mutex mu_;
+  std::exception_ptr error_ HSPEC_GUARDED_BY(mu_);
+  std::atomic<bool> cancelled_{false};
+  std::atomic<int> owners_;
+};
 
 }  // namespace
 
@@ -134,12 +255,17 @@ HybridResult HybridExecutor::run_batch(
   shm_.view().reset_sched_latency();
 
   // Arm fault injection before the ranks start (thread creation publishes
-  // the plan pointer). The plan's counters are cumulative across runs, so
+  // the plan pointer), and disarm it on every exit: the plan may not
+  // outlive the batch. The plan's counters are cumulative across runs, so
   // snapshot them now and report the delta.
   util::FaultPlan* plan = config_.fault_plan;
   util::FaultPlan::Stats plan_before;
   if (plan != nullptr) plan_before = plan->stats();
   if (plan != nullptr) registry_.set_fault_plan(plan);
+  struct PlanGuard {
+    vgpu::DeviceRegistry& registry;
+    ~PlanGuard() { registry.set_fault_plan(nullptr); }
+  } plan_guard{registry_};
 
   HybridResult result;
   result.spectra.reserve(points.size());
@@ -147,58 +273,130 @@ HybridResult HybridExecutor::run_batch(
     result.spectra.emplace_back(calc_->grid());
 
   BatchAccumulator accum;  // cross-rank aggregation of this batch's counters
+  std::vector<TaskBoard> boards(static_cast<std::size_t>(config_.ranks));
+  BatchControl control(config_.ranks);
 
   minimpi::run(config_.ranks, [&](minimpi::Communicator& comm) {
     const int rank = comm.rank();
     TaskScheduler scheduler(shm_.view());
-    // Per-rank QAGS calculator, built once and reused by every CPU-fallback
-    // task (the old code rebuilt it per task).
-    const CpuTaskExecutor cpu_exec(*calc_);
     FaultStats fs;  // this rank's recovery accounting
     // The one task-execution path; the mode only configures it.
-    AsyncGpuExecutor exec(*calc_, pipe_views_, scheduler, cpu_exec,
-                          config_.mode, config_.pipeline_depth,
-                          config_.max_task_attempts, plan != nullptr, &fs);
-
+    AsyncGpuExecutor exec(*calc_, pipe_views_, scheduler, config_.mode,
+                          config_.pipeline_depth, config_.max_task_attempts,
+                          plan, &fs);
+    TaskBoard& mine = boards[static_cast<std::size_t>(rank)];
     std::size_t my_tasks = 0;
-    PointWorkQueue& queue = shm_.view().points;
-    if (config_.rank_start_hook) config_.rank_start_hook(rank, queue);
-    for (PointWorkQueue::Claim claim = queue.claim(rank); !claim.empty();
-         claim = queue.claim(rank)) {
-      for (std::int64_t pi = claim.begin; pi < claim.end; ++pi) {
-        const auto p = static_cast<std::size_t>(pi);
-        const apec::PointPopulations pops =
-            apec::solve_populations(calc_->database(), points[p]);
-        apec::Spectrum local(calc_->grid());
-        for (const SpectralTask& task :
-             make_tasks(*calc_, points[p], pops, config_.granularity)) {
-          ++my_tasks;
-          // The single decision site: Algorithm 1 picks (and reserves) a
-          // device, the clock around it feeds the shm latency histogram.
-          // Fault-path re-allocations inside the executor go through
-          // sche_alloc directly, so the histogram stays one-per-task.
-          exec.submit(task, pops, timed_assign(*policy_, task, scheduler),
-                      local);
-        }
-        // All of a point's tasks drain before its spectrum is published;
-        // points are claimed exactly once, so accumulation is race-free.
-        exec.drain_all();
-        // Only finite spectra leave the executor (and reach a cache).
-        if (!all_finite(local)) {
-          std::ostringstream what;
-          what << "HybridExecutor: non-finite spectrum for point " << p
-               << " (kT = " << points[p].kT_keV
-               << " keV, ne = " << points[p].ne_cm3 << " cm^-3)";
-          throw std::domain_error(what.str());
-        }
-        result.spectra[p] += local;
-      }
-    }
+    std::uint64_t shared = 0;
 
-    // No cross-rank wait here: a rank that threw never arrives, and
-    // minimpi::run already joins every rank before the epilogue.
-    accum.merge_rank(scheduler.stats(), fs, my_tasks, exec.stats());
+    // Run task `i` of `board`, claimed by this rank. The runner makes the
+    // task's one Algorithm 1 decision (the clock around it feeds the shm
+    // latency histogram; fault-path re-allocations inside the executor go
+    // through sche_alloc directly). An error cancels the batch; either way
+    // the task counts as finished, so its owner never waits for it.
+    auto run_claimed = [&](TaskBoard& board, std::int64_t i) {
+      const auto t = static_cast<std::size_t>(i);
+      try {
+        const SpectralTask& task = board.tasks[t];
+        board.outcome[t] =
+            exec.run(task, board.pops, timed_assign(*policy_, task, scheduler),
+                     board.staging[t]);
+        if (&board != &mine) ++shared;
+      } catch (...) {
+        control.fail(std::current_exception());
+      }
+      board.finish();
+    };
+    // Run one open task of another rank's board; false if none is open.
+    auto help_one = [&] {
+      if (control.cancelled()) return false;
+      for (int k = 1; k < config_.ranks; ++k) {
+        TaskBoard& board =
+            boards[static_cast<std::size_t>((rank + k) % config_.ranks)];
+        const std::int64_t i = board.claim();
+        if (i >= 0) {
+          run_claimed(board, i);
+          return true;
+        }
+      }
+      return false;
+    };
+    // Close this rank's board and wait, helping, until every task it
+    // handed out has finished: only then may the board be reused.
+    auto retire = [&] {
+      const std::uint64_t claimed = mine.close();
+      while (!mine.settled(claimed))
+        if (!help_one()) std::this_thread::yield();
+    };
+
+    try {
+      // Per-rank QAGS calculator for the full-queue tasks this rank owns.
+      const CpuTaskExecutor cpu_exec(*calc_);
+      PointWorkQueue& queue = shm_.view().points;
+      if (config_.rank_start_hook) config_.rank_start_hook(rank, queue);
+      for (PointWorkQueue::Claim claim = queue.claim(rank);
+           !claim.empty() && !control.cancelled(); claim = queue.claim(rank)) {
+        for (std::int64_t pi = claim.begin;
+             pi < claim.end && !control.cancelled(); ++pi) {
+          const auto p = static_cast<std::size_t>(pi);
+          mine.pops = apec::solve_populations(calc_->database(), points[p]);
+          mine.tasks =
+              make_tasks(*calc_, points[p], mine.pops, config_.granularity);
+          my_tasks += mine.tasks.size();
+          mine.publish();
+          while (!control.cancelled()) {
+            const std::int64_t i = mine.claim();
+            if (i < 0) break;
+            run_claimed(mine, i);
+          }
+          retire();
+          if (control.cancelled()) break;
+
+          // One accumulation, in task order, whoever ran each task: the
+          // add order of the single-rank executor, so spectra are bitwise
+          // independent of the sharing. Closed-form and full-queue tasks
+          // run here, at their position.
+          apec::Spectrum local(calc_->grid());
+          for (std::size_t i = 0; i < mine.tasks.size(); ++i) {
+            const SpectralTask& task = mine.tasks[i];
+            switch (mine.outcome[i]) {
+              case TaskOutcome::emi:
+                accumulate_task_result(*calc_, task, mine.pops,
+                                       mine.staging[i], local);
+                break;
+              case TaskOutcome::closed_form:
+                calc_->accumulate_ion(task.ion, mine.pops, local);
+                break;
+              case TaskOutcome::qags:
+                cpu_exec.execute(task, mine.pops, local);
+                break;
+            }
+          }
+          // Only finite spectra leave the executor (and reach a cache).
+          if (!all_finite(local)) {
+            std::ostringstream what;
+            what << "HybridExecutor: non-finite spectrum for point " << p
+                 << " (kT = " << points[p].kT_keV
+                 << " keV, ne = " << points[p].ne_cm3 << " cm^-3)";
+            throw std::domain_error(what.str());
+          }
+          // Points are claimed exactly once, so this is race-free.
+          result.spectra[p] += local;
+        }
+      }
+    } catch (...) {
+      // Nothing above throws while this rank's board has tasks out:
+      // run_claimed keeps its task's error, and retire() comes before the
+      // accumulation.
+      control.fail(std::current_exception());
+    }
+    control.owner_done();
+    // No point left here: help the owners still working, then leave.
+    while (control.owners_working() && !control.cancelled())
+      if (!help_one()) std::this_thread::yield();
+
+    accum.merge_rank(scheduler.stats(), fs, my_tasks, shared, exec.stats());
   });
+  control.rethrow_if_failed();
   accum.publish(result);
   result.sched = read_scheduling_stats(shm_.view());
 
@@ -251,7 +449,6 @@ HybridResult HybridExecutor::run_batch(
     result.faults.injected = after.injected_total - plan_before.injected_total;
     result.faults.device_deaths =
         after.device_deaths - plan_before.device_deaths;
-    registry_.set_fault_plan(nullptr);  // the plan may not outlive the batch
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   return result;

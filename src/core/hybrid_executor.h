@@ -24,12 +24,21 @@
 //    and work-stealing queue treat them as one workload, which is what
 //    makes cross-request device sharing free.
 //
-// Threading: run_batch() spawns and joins its minimpi ranks internally, but
-// the executor itself is single-caller — one batch in flight at a time
-// (HSPEC_DCHECK-enforced). Concurrency across requests is the service
+// Threading: the executor is single-caller — one batch in flight at a
+// time (HSPEC_DCHECK-enforced); concurrency across requests is the service
 // layer's job (it owns the one worker thread that pumps this executor).
+// Inside a batch, run_batch() spawns `ranks` minimpi threads and joins them
+// before it returns. Each rank owns the grid points it claims from the
+// work-stealing queue and publishes each point's ion tasks on its task
+// board; every rank — the owner included — claims tasks from any board, so
+// ranks with no point of their own run another rank's tasks (intra-point
+// task sharing, DESIGN.md §16). Whoever runs a task makes its Algorithm 1
+// decision and runs it on its own executor lane; only the owner
+// accumulates, in task order, so spectra do not depend on who ran what.
+// The first error on any rank cancels the batch: owners close their
+// boards, wait for the tasks already handed out, and every rank releases
+// the scheduler slots it reserved before the error is rethrown.
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -54,11 +63,12 @@ namespace hspec::core {
 /// actually observes.
 class BatchAccumulator {
  public:
-  /// Fold one rank's scheduler stats, recovery accounting, task count and
-  /// executor stats into the batch totals.
+  /// Fold one rank's scheduler stats, recovery accounting, task counts
+  /// (tasks of its own points; tasks it ran for other owners) and executor
+  /// stats into the batch totals.
   void merge_rank(const SchedulerStats& sched, const FaultStats& fs,
-                  std::size_t tasks, const AsyncGpuExecutor::Stats& exec)
-      HSPEC_EXCLUDES(mu_) {
+                  std::size_t tasks, std::uint64_t shared,
+                  const AsyncGpuExecutor::Stats& exec) HSPEC_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     scheduling_.gpu_allocations += sched.gpu_allocations;
     scheduling_.cpu_fallbacks += sched.cpu_fallbacks;
@@ -74,7 +84,7 @@ class BatchAccumulator {
     faults_.cpu_completed += fs.cpu_completed;
     tasks_total_ += tasks;
     tasks_pipelined_ += exec.gpu_tasks;
-    max_in_flight_ = std::max(max_in_flight_, exec.max_in_flight);
+    shared_tasks_ += shared;
   }
 
   /// Copy the aggregate into `result` (scheduling, faults, tasks_total and
@@ -86,7 +96,7 @@ class BatchAccumulator {
     result.faults = faults_;
     result.tasks_total = tasks_total_;
     result.pipeline.tasks_pipelined = tasks_pipelined_;
-    result.pipeline.max_in_flight = max_in_flight_;
+    result.pipeline.shared_tasks = shared_tasks_;
   }
 
  private:
@@ -95,7 +105,7 @@ class BatchAccumulator {
   FaultStats faults_ HSPEC_GUARDED_BY(mu_);
   std::size_t tasks_total_ HSPEC_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_pipelined_ HSPEC_GUARDED_BY(mu_) = 0;
-  std::uint64_t max_in_flight_ HSPEC_GUARDED_BY(mu_) = 0;
+  std::uint64_t shared_tasks_ HSPEC_GUARDED_BY(mu_) = 0;
 };
 
 class HybridExecutor {
@@ -123,6 +133,12 @@ class HybridExecutor {
 
   const HybridConfig& config() const noexcept { return config_; }
   int device_count() const noexcept { return n_dev_; }
+
+  /// Scheduler load (Algorithm 1's l_i) of `device` right now: zero
+  /// between batches, whether the last one succeeded or threw.
+  std::int32_t device_load(int device) const {
+    return shm_.view().load[device].load(std::memory_order_relaxed);
+  }
 
   /// Batches run through this executor so far.
   std::uint64_t batches_run() const noexcept {

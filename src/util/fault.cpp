@@ -22,6 +22,8 @@ const char* to_string(FaultSite site) noexcept {
       return "buffer_alloc";
     case FaultSite::device_death:
       return "device_death";
+    case FaultSite::task_throw:
+      return "task_throw";
   }
   return "unknown";
 }
@@ -52,6 +54,7 @@ FaultPlan::FaultPlan(const FaultPlanConfig& config) : cfg_(config) {
   validate_rate(cfg_.kernel_timeout_rate, "kernel_timeout_rate");
   validate_rate(cfg_.stream_stall_rate, "stream_stall_rate");
   validate_rate(cfg_.alloc_fault_rate, "alloc_fault_rate");
+  validate_rate(cfg_.task_throw_rate, "task_throw_rate");
   if (cfg_.dead_device >= kMaxFaultDevices)
     throw std::invalid_argument("FaultPlan: dead_device past kMaxFaultDevices");
   if (cfg_.dies_after_ops < 0)
@@ -71,6 +74,8 @@ double FaultPlan::rate_for(FaultSite site) const noexcept {
       return cfg_.stream_stall_rate;
     case FaultSite::buffer_alloc:
       return cfg_.alloc_fault_rate;
+    case FaultSite::task_throw:
+      return cfg_.task_throw_rate;
     case FaultSite::device_death:
       return 0.0;  // death is by op count, never by chance
   }
@@ -82,7 +87,8 @@ FaultDecision FaultPlan::query(FaultSite site, int device) noexcept {
   if (device < 0 || device >= kMaxFaultDevices) return {};
   const auto d = static_cast<std::size_t>(device);
 
-  if (cfg_.dead_device == device) {
+  // A host-side task failure does not count towards the device's death.
+  if (cfg_.dead_device == device && site != FaultSite::task_throw) {
     const std::int64_t op =
         device_ops_[d].fetch_add(1, std::memory_order_relaxed);
     if (op >= cfg_.dies_after_ops) {

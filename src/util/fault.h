@@ -11,10 +11,11 @@
 // A plan can additionally kill one device outright after a fixed number of
 // queries ("device death"): from then on every operation on it fails.
 //
-// The injection points themselves live in src/vgpu (device.cpp, stream.cpp,
-// buffer_pool.cpp); the recovery policy — retry, requeue, quarantine,
-// graceful CPU degradation — lives in src/core. This header owns only the
-// oracle, so util stays dependency-free.
+// The device injection points live in src/vgpu (device.cpp, stream.cpp,
+// buffer_pool.cpp), and the host-side task_throw point in
+// core::AsyncGpuExecutor::run; the recovery policy — retry, requeue,
+// quarantine, graceful CPU degradation — lives in src/core. This header
+// owns only the oracle, so util stays dependency-free.
 
 #include <array>
 #include <atomic>
@@ -28,7 +29,9 @@ namespace hspec::util {
 inline constexpr int kMaxFaultDevices = 64;
 
 /// Where a fault is injected. `device_death` is never queried directly: it
-/// is the verdict every site returns once the plan has killed the device.
+/// is the verdict every device site returns once the plan has killed the
+/// device. `task_throw` is host-side: the task body itself fails with an
+/// error the recovery layer does not retry, so the whole batch fails.
 enum class FaultSite : int {
   h2d_transfer = 0,   ///< cudaMemcpy host -> device
   d2h_transfer = 1,   ///< cudaMemcpy device -> host
@@ -37,8 +40,9 @@ enum class FaultSite : int {
   stream_stall = 4,   ///< a stream operation wedged, then errored out
   buffer_alloc = 5,   ///< device allocator failure
   device_death = 6,   ///< the device is gone; permanent
+  task_throw = 7,     ///< the task body threw on the host; not retryable
 };
-inline constexpr int kFaultSiteCount = 7;
+inline constexpr int kFaultSiteCount = 8;
 
 const char* to_string(FaultSite site) noexcept;
 
@@ -67,6 +71,7 @@ struct FaultPlanConfig {
   double kernel_timeout_rate = 0.0;  ///< kernel_timeout
   double stream_stall_rate = 0.0;    ///< stream_stall
   double alloc_fault_rate = 0.0;     ///< buffer_alloc
+  double task_throw_rate = 0.0;      ///< task_throw (never a device death)
   double kernel_timeout_penalty_s = 2.0;
   double stream_stall_penalty_s = 0.5;
   /// Device that dies mid-run (-1: none). Death is by query count, not

@@ -743,6 +743,143 @@ INSTANTIATE_TEST_SUITE_P(
                       BadPoint{1e-10, 4, ExecutionMode::synchronous},
                       BadPoint{1e-10, 4, ExecutionMode::pipelined}));
 
+// The same poison inputs as a batch's only point: the point's tasks are
+// spread over every rank, so the failure strikes while other ranks hold
+// (or are about to claim) its tasks. Nothing may wedge, every scheduler
+// slot must come back, and the executor must serve the next batch exactly
+// like a fresh driver.
+class BadSinglePointBatch : public HybridTest,
+                            public ::testing::WithParamInterface<BadPoint> {};
+
+TEST_P(BadSinglePointBatch, ThrowsReleasesSlotsThenNextBatchMatchesFreshRun) {
+  const auto [kT, ranks, mode] = GetParam();
+  HybridConfig cfg;
+  cfg.ranks = ranks;
+  cfg.devices = 2;
+  cfg.mode = mode;
+  HybridExecutor executor(calc_, cfg);
+  const std::vector<apec::GridPoint> bad{{kT, 1.0, 0.0, 0}};
+  if (refused_by_populations(kT)) {
+    EXPECT_THROW(executor.run_batch(bad), std::invalid_argument);
+  } else {
+    EXPECT_THROW(executor.run_batch(bad), std::domain_error);
+  }
+  for (int d = 0; d < executor.device_count(); ++d)
+    EXPECT_EQ(executor.device_load(d), 0) << "device " << d;
+
+  const std::vector<apec::GridPoint> good{{0.5, 1.0, 0.0, 0}};
+  const HybridResult res = executor.run_batch(good);
+  const HybridResult fresh = HybridDriver(calc_, cfg).run(good);
+  EXPECT_EQ(res.tasks_total, fresh.tasks_total);
+  EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
+  expect_bitwise_equal(res.spectra, fresh.spectra);
+  for (int d = 0; d < executor.device_count(); ++d)
+    EXPECT_EQ(executor.device_load(d), 0) << "device " << d;
+}
+
+std::vector<BadPoint> single_point_cases() {
+  std::vector<BadPoint> cases;
+  for (double kT : {-1.0, 0.0, kNaN, kInf, 1e-10})
+    for (int ranks : {2, 4})
+      for (ExecutionMode mode :
+           {ExecutionMode::synchronous, ExecutionMode::pipelined})
+        cases.push_back({kT, ranks, mode});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(PoisonInputs, BadSinglePointBatch,
+                         ::testing::ValuesIn(single_point_cases()));
+
+// ------------------------------------------------- intra-point task sharing
+
+struct SharingCase {
+  int ranks;
+  int devices;
+  ExecutionMode mode;
+};
+
+void PrintTo(const SharingCase& c, std::ostream* os) {
+  *os << "ranks=" << c.ranks << " devices=" << c.devices
+      << (c.mode == ExecutionMode::synchronous ? " sync" : " pipelined");
+}
+
+class TaskSharing : public HybridTest,
+                    public ::testing::WithParamInterface<SharingCase> {
+ protected:
+  HybridResult run(int ranks, int devices, ExecutionMode mode,
+                   const std::vector<apec::GridPoint>& points) {
+    HybridConfig cfg;
+    cfg.ranks = ranks;
+    cfg.devices = devices;
+    cfg.mode = mode;
+    // Deep enough that no verdict is a full queue: QAGS differs from the
+    // kernels, so bit-identity is defined on the all-GPU schedule only.
+    cfg.max_queue_length = 32;
+    return HybridDriver(calc_, cfg).run(points);
+  }
+};
+
+TEST_P(TaskSharing, MatchesOneRankBitwise) {
+  // However the tasks of a point spread over the ranks, the owner adds
+  // them in task order, so every configuration reproduces one rank.
+  const auto [ranks, devices, mode] = GetParam();
+  const std::vector<std::vector<apec::GridPoint>> batches{
+      {{0.5, 1.0, 0.0, 0}},
+      {{0.3, 1.0, 0.0, 0}, {0.5, 1.0, 0.0, 1}, {0.8, 1.0, 0.0, 2}}};
+  for (const auto& points : batches) {
+    const HybridResult one = run(1, 1, ExecutionMode::synchronous, points);
+    const HybridResult res = run(ranks, devices, mode, points);
+    expect_bitwise_equal(one.spectra, res.spectra);
+    EXPECT_EQ(res.tasks_total, one.tasks_total);
+    // Whoever runs a task makes its one Algorithm 1 decision.
+    EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
+    EXPECT_EQ(res.scheduling.gpu_allocations,
+              static_cast<std::int64_t>(res.tasks_total));
+    if (ranks == 1) {
+      EXPECT_EQ(res.pipeline.shared_tasks, 0u);
+    }
+    EXPECT_LE(res.pipeline.shared_tasks, res.tasks_total);
+  }
+}
+
+std::vector<SharingCase> sharing_cases() {
+  std::vector<SharingCase> cases;
+  for (int ranks : {1, 2, 3, 4})
+    for (int devices : {1, 2})
+      for (ExecutionMode mode :
+           {ExecutionMode::synchronous, ExecutionMode::pipelined})
+        cases.push_back({ranks, devices, mode});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(RanksDevicesModes, TaskSharing,
+                         ::testing::ValuesIn(sharing_cases()));
+
+TEST_F(HybridTest, TaskSharingRunsOneOwnersTasksOnOtherRanks) {
+  // One point at four ranks: three ranks have no point of their own and
+  // run the owner's tasks. The start hook lines the ranks up first, so the
+  // helpers are already looking for work when the owner publishes.
+  const std::vector<apec::GridPoint> point{{0.5, 1.0, 0.0, 0}};
+  HybridConfig cfg;
+  cfg.ranks = 4;
+  cfg.devices = 2;
+  cfg.max_queue_length = 32;
+  std::uint64_t shared = 0;
+  for (int attempt = 0; attempt < 20 && shared == 0; ++attempt) {
+    std::atomic<int> arrived{0};
+    cfg.rank_start_hook = [&](int, const PointWorkQueue&) {
+      arrived.fetch_add(1);
+      while (arrived.load() < cfg.ranks) std::this_thread::yield();
+    };
+    shared = HybridDriver(calc_, cfg).run(point).pipeline.shared_tasks;
+  }
+  EXPECT_GT(shared, 0u);
+
+  cfg.ranks = 1;
+  cfg.rank_start_hook = nullptr;
+  EXPECT_EQ(HybridDriver(calc_, cfg).run(point).pipeline.shared_tasks, 0u);
+}
+
 TEST_F(HybridTest, ServiceServesTheTicketAfterABadOne) {
   service::ServiceConfig cfg;
   cfg.hybrid.ranks = 2;

@@ -13,6 +13,7 @@
 
 #include "apec/calculator.h"
 #include "core/hybrid.h"
+#include "core/hybrid_executor.h"
 #include "util/fault.h"
 
 namespace {
@@ -150,6 +151,25 @@ TEST(FaultPlan, SiteNamesAreDistinct) {
     for (int t = s + 1; t < util::kFaultSiteCount; ++t)
       EXPECT_STRNE(util::to_string(static_cast<FaultSite>(s)),
                    util::to_string(static_cast<FaultSite>(t)));
+}
+
+TEST(FaultPlan, TaskThrowNeverCountsTowardsDeviceDeath) {
+  // task_throw is a host-side site: querying it for the dying device's
+  // index neither advances nor triggers that device's death.
+  FaultPlanConfig cfg;
+  cfg.dead_device = 0;
+  cfg.dies_after_ops = 2;
+  cfg.task_throw_rate = 1.0;
+  FaultPlan plan(cfg);
+  for (int i = 0; i < 10; ++i)
+    EXPECT_EQ(plan.query(FaultSite::task_throw, 0).site, FaultSite::task_throw);
+  EXPECT_FALSE(plan.device_dead(0));
+  EXPECT_FALSE(plan.query(FaultSite::kernel_launch, 0).fail);
+  EXPECT_FALSE(plan.query(FaultSite::kernel_launch, 0).fail);
+  EXPECT_EQ(plan.query(FaultSite::kernel_launch, 0).site,
+            FaultSite::device_death);
+  cfg.task_throw_rate = 1.5;
+  EXPECT_THROW(FaultPlan{cfg}, std::invalid_argument);
 }
 
 // ------------------------------------------------------------ hybrid runs
@@ -368,6 +388,43 @@ TEST_F(FaultInjectionTest, SingleDeviceDeathDrainsEverythingToTheHost) {
   EXPECT_EQ(res.device_health[0], DeviceHealth::quarantined);
   EXPECT_GT(res.faults.cpu_fallbacks, 0);
   EXPECT_GT(res.faults.cpu_completed, 0);
+}
+
+TEST_F(FaultInjectionTest, TaskThrowCancelsTheBatchAndReleasesEverySlot) {
+  // A task body that throws, on whichever rank runs it, fails its batch
+  // with that error: the other ranks stop, every scheduler slot comes back,
+  // and the same executor then serves a clean batch bit for bit.
+  for (ExecutionMode mode :
+       {ExecutionMode::synchronous, ExecutionMode::pipelined}) {
+    FaultPlanConfig throwing;
+    throwing.seed = 37;
+    throwing.task_throw_rate = 0.3;
+    std::optional<FaultPlan> plan(std::in_place, throwing);
+    HybridConfig cfg;
+    cfg.ranks = 4;
+    cfg.devices = 2;
+    cfg.mode = mode;
+    cfg.max_queue_length = 32;
+    cfg.fault_plan = &*plan;
+    HybridExecutor executor(calc_, cfg);
+    try {
+      executor.run_batch(points(3));
+      ADD_FAILURE() << "no task threw";
+    } catch (const util::FaultError& e) {
+      EXPECT_EQ(e.site(), FaultSite::task_throw);
+    }
+    for (int d = 0; d < executor.device_count(); ++d)
+      EXPECT_EQ(executor.device_load(d), 0) << "device " << d;
+
+    // The executor arms its plan per batch: swap in an inert one.
+    plan.emplace(FaultPlanConfig{});
+    const HybridResult res = executor.run_batch(points(3));
+    expect_bit_identical(reference(), res);
+    expect_ledger_balances(res);
+    EXPECT_EQ(res.sched.decisions, static_cast<std::int64_t>(res.tasks_total));
+    for (int d = 0; d < executor.device_count(); ++d)
+      EXPECT_EQ(executor.device_load(d), 0) << "device " << d;
+  }
 }
 
 TEST_F(FaultInjectionTest, MixedFaultsAtTwentyPercentStayExact) {

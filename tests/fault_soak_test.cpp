@@ -2,7 +2,9 @@
 // fault rates from 0 to 20% over the Fig. 3 style workload, in both
 // execution modes, with an occasional mid-run device death. Every run must
 // stay bit-identical to the fault-free reference and keep the exactly-once
-// ledger balanced.
+// ledger balanced — or, when a task body throws (task_throw), fail with
+// that error, release every scheduler slot and leave the executor exact
+// for the next batch.
 //
 // Labeled `soak` (not tier-1). The default depth is a quick smoke pass;
 // CI's fault-soak job sets HSPEC_SOAK=full for the long sweep under
@@ -18,6 +20,7 @@
 
 #include "apec/calculator.h"
 #include "core/hybrid.h"
+#include "core/hybrid_executor.h"
 #include "util/fault.h"
 
 namespace {
@@ -59,6 +62,11 @@ class FaultSoakTest : public ::testing::Test {
   }
 
   HybridResult run(ExecutionMode mode, util::FaultPlan* plan) {
+    HybridDriver driver(calc_, config(mode, plan));
+    return driver.run(points(full_soak() ? 6 : 3));
+  }
+
+  static HybridConfig config(ExecutionMode mode, util::FaultPlan* plan) {
     HybridConfig cfg;
     cfg.ranks = 4;
     cfg.devices = 2;
@@ -67,8 +75,7 @@ class FaultSoakTest : public ::testing::Test {
     // deep enough that only fault verdicts ever reach the CPU.
     cfg.max_queue_length = 64;
     cfg.fault_plan = plan;
-    HybridDriver driver(calc_, cfg);
-    return driver.run(points(full_soak() ? 6 : 3));
+    return cfg;
   }
 
   const HybridResult& reference() {
@@ -164,6 +171,49 @@ TEST_F(FaultSoakTest, DeviceDeathUnderBackgroundFaults) {
       EXPECT_EQ(res.device_health[static_cast<std::size_t>(cfg.dead_device)],
                 DeviceHealth::quarantined)
           << what;
+    }
+  }
+}
+
+TEST_F(FaultSoakTest, TaskThrowsMidPointNeverWedgeOrLeakSlots) {
+  // Task bodies throw at random while device faults retry underneath. A
+  // batch either fails with the task_throw error or is exact; either way
+  // no scheduler slot stays reserved, and once the throws stop the same
+  // executor is exact again.
+  const std::vector<std::uint64_t> seeds =
+      full_soak() ? std::vector<std::uint64_t>{0x7401, 0x7402, 0x7403}
+                  : std::vector<std::uint64_t>{0x7401};
+  const int batches = full_soak() ? 6 : 3;
+  const std::vector<apec::GridPoint> pts = points(full_soak() ? 6 : 3);
+  for (std::uint64_t seed : seeds) {
+    for (double rate : {0.01, 0.05, 0.2}) {
+      for (ExecutionMode mode :
+           {ExecutionMode::synchronous, ExecutionMode::pipelined}) {
+        char what[96];
+        std::snprintf(what, sizeof(what), "throw seed=%llx rate=%.2f mode=%d",
+                      static_cast<unsigned long long>(seed), rate,
+                      static_cast<int>(mode));
+        FaultPlanConfig cfg;
+        cfg.seed = seed;
+        cfg.task_throw_rate = rate;
+        cfg.transfer_fault_rate = 0.05;
+        cfg.kernel_fault_rate = 0.05;
+        std::optional<FaultPlan> plan(std::in_place, cfg);
+        HybridExecutor executor(calc_, config(mode, &*plan));
+        for (int b = 0; b < batches; ++b) {
+          try {
+            check(executor.run_batch(pts), what);
+          } catch (const util::FaultError& e) {
+            EXPECT_EQ(e.site(), util::FaultSite::task_throw) << what;
+          }
+          if (HasFatalFailure()) return;
+          for (int d = 0; d < executor.device_count(); ++d)
+            ASSERT_EQ(executor.device_load(d), 0) << what << " device " << d;
+        }
+        plan.emplace(FaultPlanConfig{});  // read at the next batch's start
+        check(executor.run_batch(pts), what);
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

@@ -124,18 +124,17 @@ TEST_F(PipelineTest, PipelineShortensTheVirtualTimeline) {
   EXPECT_LT(async.virtual_makespan_s, sync.virtual_makespan_s);
   EXPECT_GT(async.pipeline.streams_used, 0u);
   EXPECT_GT(async.pipeline.tasks_pipelined, 0u);
-  EXPECT_GE(async.pipeline.max_in_flight, 1u);
 }
 
 TEST_F(PipelineTest, SynchronousModeIsTheBlockingConfiguration) {
   // Synchronous mode is the one executor at depth 1 with per-task edge
-  // uploads: every GPU task runs on a stream while holding the rank's only
-  // device slot, never leases the resident edges, and sends the
-  // (n_bins + 1) edges up exactly once.
+  // uploads: every GPU task runs on the rank's one stream per device,
+  // never leases the resident edges, and sends the (n_bins + 1) edges up
+  // exactly once.
   const auto pts = points(3);
   const HybridResult sync = run(ExecutionMode::synchronous, 4, 2, pts);
   ASSERT_GT(sync.pipeline.tasks_pipelined, 0u);
-  EXPECT_EQ(sync.pipeline.max_in_flight, 1u);
+  EXPECT_LE(sync.pipeline.streams_used, 4u * 2u);
   EXPECT_EQ(sync.pipeline.cache_hits, 0u);
   EXPECT_EQ(sync.pipeline.cache_misses, 0u);
   std::uint64_t h2d = 0;
