@@ -25,8 +25,8 @@ inline atomic::DatabaseConfig bench_db_config(int max_z, int level_cap) {
   return cfg;
 }
 
-/// Fixed-kernel CalcOptions (the GPU path: no adaptive QAGS fallback), so
-/// that every executor mode runs the exact same integrator.
+/// Fixed-kernel CalcOptions (the kernel rule, not adaptive QAGS), so that
+/// every executor mode runs the exact same integrator.
 inline apec::CalcOptions bench_kernel_options(
     quad::KernelMethod method = quad::KernelMethod::simpson,
     std::size_t kernel_param = 64) {
@@ -38,8 +38,9 @@ inline apec::CalcOptions bench_kernel_options(
 }
 
 /// Container-scale HybridConfig. max_queue_length defaults to 32: large
-/// enough that no task falls back to QAGS, which keeps spectra comparable
-/// bit-for-bit across executor modes.
+/// enough that every task runs on a device, so the device counters cover
+/// the whole workload. (Spectra are bit-for-bit the same either way: a task
+/// that finds every queue full runs the kernel rule on the host.)
 inline core::HybridConfig bench_hybrid_config(
     int devices, int max_queue_length = 32, int ranks = 4,
     core::ExecutionMode mode = core::ExecutionMode::pipelined) {

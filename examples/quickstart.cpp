@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
   // 4. The hybrid driver: ranks prepare per-ion tasks and the shared-memory
   //    scheduler (Algorithm 1) dispatches them to virtual GPUs running the
-  //    Simpson-64 kernel (Algorithm 2), with QAGS as the CPU fallback.
+  //    Simpson-64 kernel (Algorithm 2); a task that finds every queue full
+  //    runs the same kernel rule on its rank's CPU.
   apec::CalcOptions hybrid_opt;
   hybrid_opt.integration.adaptive = false;
   const apec::SpectrumCalculator hybrid_calc(db, grid, hybrid_opt);

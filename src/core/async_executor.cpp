@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/cpu_task_executor.h"
 #include "core/gpu_task_executor.h"
 #include "util/fault.h"
 
@@ -74,22 +73,23 @@ TaskOutcome AsyncGpuExecutor::run(const SpectralTask& task,
   if (task.closed_form()) {
     if (fstats_ != nullptr)
       ++(device >= 0 ? fstats_->gpu_completed : fstats_->cpu_completed);
-    return device >= 0 ? TaskOutcome::closed_form : TaskOutcome::qags;
+    return TaskOutcome::closed_form;
   }
+  emi.resize(calc_->grid().bin_count());
   if (device < 0) {
-    if (fstats_ != nullptr) ++fstats_->cpu_completed;
-    // A plain full-queue verdict stays on QAGS, the paper's fallback; an
-    // all-quarantined verdict degrades to the kernel-equivalent host path
-    // (bit-identity).
-    if (plan_ == nullptr || !scheduler_->all_quarantined())
-      return TaskOutcome::qags;
-    if (fstats_ != nullptr) ++fstats_->cpu_fallbacks;
-    emi.resize(calc_->grid().bin_count());
+    // Every queue full, or every device quarantined: the kernel rule on the
+    // host, bitwise equal to the device, so the spectrum does not depend on
+    // which tasks found the queues full. Only the all-quarantined verdict
+    // is a fault-driven degradation.
+    if (fstats_ != nullptr) {
+      ++fstats_->cpu_completed;
+      if (plan_ != nullptr && scheduler_->all_quarantined())
+        ++fstats_->cpu_fallbacks;
+    }
     integrate_task_degraded(*calc_, task, pops, emi);
     return TaskOutcome::emi;
   }
 
-  emi.resize(calc_->grid().bin_count());
   // Bounded retry-with-requeue: a faulted attempt has returned its buffers;
   // free its queue slot, report the failure, and ask the scheduler for a
   // (possibly different) device. Past the budget the task degrades to the

@@ -5,9 +5,11 @@
 //
 // Every task of every batch runs through AsyncGpuExecutor::run, whatever
 // the ExecutionMode; the mode only configures it. One task type and one
-// place that picks its implementation: the device kernels on a stream, the
-// kernel-equivalent host path (degraded), or — left to the owning rank —
-// the closed form and QAGS (full queues).
+// place that picks where it runs: the device kernels on a stream, or the
+// kernel-equivalent host path (integrate_task_degraded) when every queue is
+// full, every device is quarantined or the retry budget is spent — the
+// same function either way, so the placement never shows in the bits. The
+// closed form is left to the owning rank.
 //
 //  * pipelined (production): `pipeline_depth` streams per rank per device,
 //    so the H2D-free kernel chain and D2H readback of consecutive tasks
@@ -77,7 +79,6 @@ struct DevicePipeline {
 enum class TaskOutcome : std::uint8_t {
   emi,          ///< the staging array holds the per-bin emissivity
   closed_form,  ///< accumulate the ion's closed form on the host
-  qags,         ///< queues were full: the paper's QAGS path
 };
 
 /// One rank's task executor. Not thread-safe: each rank owns one.
@@ -102,13 +103,13 @@ class AsyncGpuExecutor {
                    FaultStats* fault_stats);
 
   /// Run one task. `device` is the scheduler's verdict: >= 0 runs the task
-  /// on that device; -1 leaves it to QAGS, or, when every device is
-  /// quarantined, to the degraded host replay. The device slot is released
-  /// before run returns, on every path, exceptions included. Device faults
-  /// retry with requeue and, past the budget, degrade to the
-  /// kernel-equivalent host replay; either way an `emi` outcome has
-  /// written all of `emi` (resized to the grid's bin count). Any other
-  /// error propagates.
+  /// on that device; -1 (every queue full, or every device quarantined)
+  /// runs it on the calling thread through the kernel-equivalent host
+  /// replay. The device slot is released before run returns, on every
+  /// path, exceptions included. Device faults retry with requeue and, past
+  /// the budget, degrade to the same host replay; either way an `emi`
+  /// outcome has written all of `emi` (resized to the grid's bin count).
+  /// Any other error propagates.
   TaskOutcome run(const SpectralTask& task, const apec::PointPopulations& pops,
                   int device, std::vector<double>& emi);
 

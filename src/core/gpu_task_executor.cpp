@@ -1,5 +1,6 @@
 #include "core/gpu_task_executor.h"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -80,6 +81,18 @@ void accumulate_task_result(const apec::SpectrumCalculator& calc,
   // Line emission stays host-side on every path.
   if (task.granularity == TaskGranularity::ion || task.level_index == 0)
     calc.accumulate_ion_lines(task.ion, pops, spectrum);
+}
+
+void integrate_task_degraded(const apec::SpectrumCalculator& calc,
+                             const SpectralTask& task,
+                             const apec::PointPopulations& pops,
+                             std::span<double> emi) {
+  // A task with no levels launches nothing and leaves emi untouched.
+  std::fill(emi.begin(), emi.end(), 0.0);
+  // Host tasks are rare, so the batch scratch is task-local here.
+  vgpu::ScratchArena scratch;
+  integrate_task_levels(calc, task, pops, {nullptr, nullptr, nullptr, emi},
+                        scratch);
 }
 
 GpuExecutionReport execute_task_on_gpu(const apec::SpectrumCalculator& calc,

@@ -11,8 +11,9 @@
 // loses: the fixed context-switch + transfer overhead is paid per level.
 //
 // The Algorithm-2 level loop lives here once (integrate_task_levels) and
-// every executor runs it: AsyncGpuExecutor on a rank's stream, the degraded
-// host path on host arrays, and execute_task_on_gpu on a private stream.
+// every executor runs it: AsyncGpuExecutor on a rank's stream, the host path
+// (integrate_task_degraded) on host arrays, and execute_task_on_gpu on a
+// private stream.
 
 #include <cstddef>
 #include <span>
@@ -62,6 +63,17 @@ void accumulate_task_result(const apec::SpectrumCalculator& calc,
                             const apec::PointPopulations& pops,
                             std::span<const double> emi,
                             apec::Spectrum& spectrum);
+
+/// The host path (DESIGN.md §11): the level loop with the device kernel's
+/// own per-bin rule, run on the host into `emi` (one value per bin) for a
+/// task without a closed form, for the caller to accumulate with
+/// accumulate_task_result. Bitwise equal to the device, so a task that
+/// finds every queue full, exhausts its retry budget or finds every device
+/// quarantined contributes the bytes the device would have produced.
+void integrate_task_degraded(const apec::SpectrumCalculator& calc,
+                             const SpectralTask& task,
+                             const apec::PointPopulations& pops,
+                             std::span<double> emi);
 
 struct GpuExecutionReport {
   std::size_t kernels = 0;

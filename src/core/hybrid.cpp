@@ -3,8 +3,29 @@
 #include <stdexcept>
 
 #include "core/hybrid_executor.h"
+#include "core/shm.h"
 
 namespace hspec::core {
+
+void validate(const HybridConfig& config) {
+  if (config.ranks < 1)
+    throw std::invalid_argument("HybridConfig: need at least one rank");
+  if (config.ranks > kMaxRanks)
+    throw std::invalid_argument("HybridConfig: too many ranks for the queue");
+  if (config.max_queue_length < 1)
+    throw std::invalid_argument("HybridConfig: max queue length must be >= 1");
+  if (config.pipeline_depth < 1)
+    throw std::invalid_argument("HybridConfig: pipeline depth must be >= 1");
+  if (config.steal_chunk < 1)
+    throw std::invalid_argument("HybridConfig: steal chunk must be >= 1");
+  if (config.max_task_attempts < 1)
+    throw std::invalid_argument("HybridConfig: max task attempts must be >= 1");
+  if (config.degrade_after < 1)
+    throw std::invalid_argument("HybridConfig: degrade_after must be >= 1");
+  if (config.quarantine_after < config.degrade_after)
+    throw std::invalid_argument(
+        "HybridConfig: quarantine_after must be >= degrade_after");
+}
 
 std::vector<SpectralTask> make_tasks(const apec::SpectrumCalculator& calc,
                                      const apec::GridPoint& point,
@@ -26,25 +47,8 @@ std::vector<SpectralTask> make_tasks(const apec::SpectrumCalculator& calc,
 HybridDriver::HybridDriver(const apec::SpectrumCalculator& calculator,
                            HybridConfig config)
     : calc_(&calculator), config_(config) {
-  // Same validation HybridExecutor applies; performed here too so a bad
-  // config fails at construction, before run() builds the device stack.
-  if (config_.ranks < 1)
-    throw std::invalid_argument("HybridDriver: need at least one rank");
-  if (config_.ranks > kMaxRanks)
-    throw std::invalid_argument("HybridDriver: too many ranks for the queue");
-  if (config_.max_queue_length < 1)
-    throw std::invalid_argument("HybridDriver: max queue length must be >= 1");
-  if (config_.pipeline_depth < 1)
-    throw std::invalid_argument("HybridDriver: pipeline depth must be >= 1");
-  if (config_.steal_chunk < 1)
-    throw std::invalid_argument("HybridDriver: steal chunk must be >= 1");
-  if (config_.max_task_attempts < 1)
-    throw std::invalid_argument("HybridDriver: max task attempts must be >= 1");
-  if (config_.degrade_after < 1)
-    throw std::invalid_argument("HybridDriver: degrade_after must be >= 1");
-  if (config_.quarantine_after < config_.degrade_after)
-    throw std::invalid_argument(
-        "HybridDriver: quarantine_after must be >= degrade_after");
+  // Fail at construction, before run() builds the device stack.
+  validate(config_);
 }
 
 HybridResult HybridDriver::run(const std::vector<apec::GridPoint>& points) {

@@ -94,6 +94,10 @@ struct HybridConfig {
   int quarantine_after = 5;
 };
 
+/// Throw std::invalid_argument unless `config` is runnable. HybridDriver and
+/// HybridExecutor both call it at construction, before any device exists.
+void validate(const HybridConfig& config);
+
 /// Counters of the task executor's streams and resident cache, and of the
 /// work-stealing queue. Both modes fill them: synchronous mode reports its
 /// depth-1 streams and no resident-cache traffic.

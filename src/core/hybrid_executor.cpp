@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/cpu_task_executor.h"
 #include "core/gpu_task_executor.h"
 #include "minimpi/minimpi.h"
 #include "util/dcheck.h"
@@ -16,28 +15,6 @@
 namespace hspec::core {
 
 namespace {
-
-void validate(const HybridConfig& config) {
-  if (config.ranks < 1)
-    throw std::invalid_argument("HybridExecutor: need at least one rank");
-  if (config.ranks > kMaxRanks)
-    throw std::invalid_argument("HybridExecutor: too many ranks for the queue");
-  if (config.max_queue_length < 1)
-    throw std::invalid_argument(
-        "HybridExecutor: max queue length must be >= 1");
-  if (config.pipeline_depth < 1)
-    throw std::invalid_argument("HybridExecutor: pipeline depth must be >= 1");
-  if (config.steal_chunk < 1)
-    throw std::invalid_argument("HybridExecutor: steal chunk must be >= 1");
-  if (config.max_task_attempts < 1)
-    throw std::invalid_argument(
-        "HybridExecutor: max task attempts must be >= 1");
-  if (config.degrade_after < 1)
-    throw std::invalid_argument("HybridExecutor: degrade_after must be >= 1");
-  if (config.quarantine_after < config.degrade_after)
-    throw std::invalid_argument(
-        "HybridExecutor: quarantine_after must be >= degrade_after");
-}
 
 bool all_finite(const apec::Spectrum& s) {
   return std::all_of(s.values().begin(), s.values().end(),
@@ -329,8 +306,6 @@ HybridResult HybridExecutor::run_batch(
     };
 
     try {
-      // Per-rank QAGS calculator for the full-queue tasks this rank owns.
-      const CpuTaskExecutor cpu_exec(*calc_);
       PointWorkQueue& queue = shm_.view().points;
       if (config_.rank_start_hook) config_.rank_start_hook(rank, queue);
       for (PointWorkQueue::Claim claim = queue.claim(rank);
@@ -353,8 +328,8 @@ HybridResult HybridExecutor::run_batch(
 
           // One accumulation, in task order, whoever ran each task: the
           // add order of the single-rank executor, so spectra are bitwise
-          // independent of the sharing. Closed-form and full-queue tasks
-          // run here, at their position.
+          // independent of the sharing. Closed-form tasks run here, at their
+          // position.
           apec::Spectrum local(calc_->grid());
           for (std::size_t i = 0; i < mine.tasks.size(); ++i) {
             const SpectralTask& task = mine.tasks[i];
@@ -365,9 +340,6 @@ HybridResult HybridExecutor::run_batch(
                 break;
               case TaskOutcome::closed_form:
                 calc_->accumulate_ion(task.ion, mine.pops, local);
-                break;
-              case TaskOutcome::qags:
-                cpu_exec.execute(task, mine.pops, local);
                 break;
             }
           }

@@ -2,7 +2,7 @@
 // The scheduling decision site and its telemetry (DESIGN.md §15). The
 // paper ships exactly one strategy — Algorithm 1: every rank picks the
 // min-load device at task-submission time (TaskScheduler::sche_alloc) and
-// falls back to QAGS when every queue is full — and so does this code.
+// falls back to the CPU when every queue is full — and so does this code.
 //
 // Instrumentation: every primary allocation decision is clocked by
 // timed_assign() and recorded in SchedulerShm's fixed-bucket latency

@@ -4,7 +4,8 @@
 //   SCHE-ALLOC(): scan all devices for the minimum load l_i; break ties by
 //   minimum history task count h_i; if the winner's load is below the
 //   maximum queue length, atomically { l++ ; h++ } and return the device,
-//   otherwise return -1 (caller falls back to the CPU QAGS path).
+//   otherwise return -1 (the caller runs the task on the CPU; the paper
+//   calls QAGS there, this code the kernel rule, DESIGN.md §2).
 //   SCHE-FREE(device): atomically { l-- }.
 //
 // Task-queue terminology (§III-A): a device's *load* is its active +
@@ -70,8 +71,8 @@ struct FaultStats {
   std::int64_t injected = 0;       ///< faults the FaultPlan injected
   std::int64_t retried = 0;        ///< device attempts that failed
   std::int64_t requeued = 0;       ///< failed tasks resubmitted via sche_alloc
-  std::int64_t cpu_fallbacks = 0;  ///< tasks degraded to the kernel-equivalent
-                                   ///< host path (not the QAGS queue-full path)
+  std::int64_t cpu_fallbacks = 0;  ///< fault-driven degradations to the host
+                                   ///< path (not the plain queue-full verdicts)
   std::int64_t gpu_completed = 0;  ///< tasks whose final attempt held a device
   std::int64_t cpu_completed = 0;  ///< tasks finished on the host
   std::int64_t degradations = 0;   ///< healthy -> degraded transitions

@@ -24,7 +24,6 @@
 #include "apec/parameter_space.h"
 #include "apec/spectrum.h"
 #include "atomic/database.h"
-#include "core/cpu_task_executor.h"
 #include "core/gpu_task_executor.h"
 #include "core/hybrid.h"
 #include "quad/batch.h"
@@ -391,7 +390,7 @@ class PolicyBatchTest : public ::testing::Test {
     cfg.ranks = 2;
     cfg.devices = 1;
     cfg.mode = mode;
-    cfg.max_queue_length = 32;  // keep every task off the QAGS path
+    cfg.max_queue_length = 32;  // every task on the device
     core::HybridDriver driver(calc, cfg);
     return driver.run(points());
   }
@@ -414,9 +413,23 @@ TEST_F(PolicyBatchTest, BatchFlagDoesNotChangeSpectrumBits) {
   }
 }
 
+// One task on the host path, accumulated as the owning rank does.
+void execute_task_degraded(const apec::SpectrumCalculator& calc,
+                           const core::SpectralTask& task,
+                           const apec::PointPopulations& pops,
+                           apec::Spectrum& spectrum) {
+  if (task.closed_form()) {
+    calc.accumulate_ion(task.ion, pops, spectrum);
+    return;
+  }
+  std::vector<double> emi(calc.grid().bin_count());
+  core::integrate_task_degraded(calc, task, pops, emi);
+  core::accumulate_task_result(calc, task, pops, emi, spectrum);
+}
+
 TEST_F(PolicyBatchTest, DegradedExecutorMatchesGpuExecutorBitwise) {
-  // The graceful-degradation path must keep the identity whether or not the
-  // policy batches — all four executor/flag combinations, same bytes.
+  // The host path must keep the identity whether or not the policy
+  // batches — all four executor/flag combinations, same bytes.
   const apec::GridPoint pt{0.5, 1.0, 0.0, 0};
   const auto pops = apec::solve_populations(db_, pt);
   apec::SpectrumCalculator scalar_calc(db_, grid_, options(false));
@@ -431,8 +444,8 @@ TEST_F(PolicyBatchTest, DegradedExecutorMatchesGpuExecutorBitwise) {
   for (const auto& task : tasks) {
     core::execute_task_on_gpu(scalar_calc, task, pops, dev, gpu_scalar);
     core::execute_task_on_gpu(batch_calc, task, pops, dev, gpu_batch);
-    core::execute_task_degraded(scalar_calc, task, pops, deg_scalar);
-    core::execute_task_degraded(batch_calc, task, pops, deg_batch);
+    execute_task_degraded(scalar_calc, task, pops, deg_scalar);
+    execute_task_degraded(batch_calc, task, pops, deg_batch);
   }
   expect_bitwise_equal(gpu_scalar.values(), gpu_batch.values(),
                        "gpu batch on/off");

@@ -540,6 +540,14 @@ TEST_F(HybridTest, MakeTasksCountsMatchGranularity) {
   EXPECT_EQ(level_tasks.size(), expected);
 }
 
+void expect_bitwise_equal(const std::vector<apec::Spectrum>& a,
+                          const std::vector<apec::Spectrum>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p)
+    for (std::size_t i = 0; i < a[p].bin_count(); ++i)
+      ASSERT_EQ(a[p][i], b[p][i]) << "point " << p << " bin " << i;
+}
+
 struct HybridCase {
   int ranks;
   int devices;
@@ -553,14 +561,10 @@ TEST_P(HybridEquivalence, MatchesSerialBaseline) {
   const auto [ranks, devices, granularity] = GetParam();
   const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
                                             {0.8, 1.0, 0.0, 1}};
-  // The baseline must use the same integration path the hybrid run takes:
-  // with devices the tasks run the Simpson kernels; without devices every
-  // task falls back to QAGS (the serial APEC path).
-  apec::CalcOptions baseline_opt = kernel_options();
-  baseline_opt.integration.adaptive = (devices == 0);
-  apec::SpectrumCalculator baseline(db_, grid_, baseline_opt);
+  // Every task runs the Simpson kernel rule, on a device or, without
+  // devices, on the host.
   std::vector<apec::Spectrum> serial;
-  for (const auto& pt : points) serial.push_back(baseline.calculate(pt));
+  for (const auto& pt : points) serial.push_back(calc_.calculate(pt));
 
   HybridConfig cfg;
   cfg.ranks = ranks;
@@ -571,6 +575,17 @@ TEST_P(HybridEquivalence, MatchesSerialBaseline) {
   const HybridResult res = driver.run(points);
 
   ASSERT_EQ(res.spectra.size(), 2u);
+  if (devices == 0) {
+    // The host runs the device's rule and add order: bitwise one device.
+    // (The serial calculator adds level by level into the spectrum, so it
+    // agrees only to rounding.)
+    HybridConfig one;
+    one.ranks = 1;
+    one.devices = 1;
+    one.granularity = granularity;
+    expect_bitwise_equal(HybridDriver(calc_, one).run(points).spectra,
+                         res.spectra);
+  }
   for (std::size_t p = 0; p < points.size(); ++p)
     EXPECT_LT(worst_relative_difference(serial[p], res.spectra[p]), 1e-10)
         << "point " << p;
@@ -653,14 +668,6 @@ TEST_F(HybridTest, InvalidConfigThrows) {
 }
 
 // ------------------------------------------- a throwing rank fails cleanly
-
-void expect_bitwise_equal(const std::vector<apec::Spectrum>& a,
-                          const std::vector<apec::Spectrum>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p)
-    for (std::size_t i = 0; i < a[p].bin_count(); ++i)
-      ASSERT_EQ(a[p][i], b[p][i]) << "point " << p << " bin " << i;
-}
 
 struct BadPoint {
   double kT_keV;
@@ -812,8 +819,8 @@ class TaskSharing : public HybridTest,
     cfg.ranks = ranks;
     cfg.devices = devices;
     cfg.mode = mode;
-    // Deep enough that no verdict is a full queue: QAGS differs from the
-    // kernels, so bit-identity is defined on the all-GPU schedule only.
+    // Deep enough that no verdict is a full queue, so every task is a GPU
+    // allocation (asserted below).
     cfg.max_queue_length = 32;
     return HybridDriver(calc_, cfg).run(points);
   }
@@ -880,6 +887,76 @@ TEST_F(HybridTest, TaskSharingRunsOneOwnersTasksOnOtherRanks) {
   EXPECT_EQ(HybridDriver(calc_, cfg).run(point).pipeline.shared_tasks, 0u);
 }
 
+// ------------------------------------------------ full-queue CPU fallback
+
+struct FallbackCase {
+  int ranks;
+  int max_queue_length;
+  ExecutionMode mode;
+  TaskGranularity granularity;
+};
+
+void PrintTo(const FallbackCase& c, std::ostream* os) {
+  *os << "ranks=" << c.ranks << " queue=" << c.max_queue_length
+      << (c.mode == ExecutionMode::synchronous ? " sync " : " pipelined ")
+      << to_string(c.granularity);
+}
+
+class Fallback : public HybridTest,
+                 public ::testing::WithParamInterface<FallbackCase> {};
+
+TEST_P(Fallback, SpectraIndependentOfSchedule) {
+  // More ranks than the one device has queue slots, so some verdicts are
+  // "every queue full" (-1). Which tasks get one depends on thread timing;
+  // the host path they take computes the kernel's bits, so every run
+  // reproduces one rank on one device.
+  const auto [ranks, queue, mode, granularity] = GetParam();
+  const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
+                                            {0.5, 1.0, 0.0, 1},
+                                            {0.7, 1.0, 0.0, 2},
+                                            {0.9, 1.0, 0.0, 3}};
+  HybridConfig cfg;
+  cfg.ranks = 1;
+  cfg.devices = 1;
+  cfg.mode = mode;
+  cfg.granularity = granularity;
+  const HybridResult one = HybridDriver(calc_, cfg).run(points);
+  ASSERT_EQ(one.scheduling.cpu_fallbacks, 0);
+
+  cfg.ranks = ranks;
+  cfg.max_queue_length = queue;
+  std::int64_t fallbacks = 0;
+  for (int run = 0; run < 20; ++run) {
+    const HybridResult res = HybridDriver(calc_, cfg).run(points);
+    SCOPED_TRACE(::testing::Message() << "run " << run);
+    expect_bitwise_equal(one.spectra, res.spectra);
+    // The fault ledger keeps its meaning: a full queue is not a fault.
+    EXPECT_EQ(res.faults.cpu_fallbacks, 0);
+    EXPECT_EQ(res.faults.gpu_completed + res.faults.cpu_completed,
+              static_cast<std::int64_t>(res.tasks_total));
+    EXPECT_EQ(res.faults.cpu_completed, res.scheduling.cpu_fallbacks);
+    fallbacks += res.scheduling.cpu_fallbacks;
+  }
+  // The full-queue path really ran.
+  EXPECT_GT(fallbacks, 0);
+}
+
+std::vector<FallbackCase> fallback_cases() {
+  // A rank holds at most one device slot at a time, so a full queue needs
+  // more ranks than slots: queue lengths 1-3 under 3 and 4 ranks.
+  std::vector<FallbackCase> cases;
+  for (int ranks : {3, 4})
+    for (int queue = 1; queue < ranks; ++queue)
+      for (ExecutionMode mode :
+           {ExecutionMode::synchronous, ExecutionMode::pipelined})
+        for (TaskGranularity g : {TaskGranularity::ion, TaskGranularity::level})
+          cases.push_back({ranks, queue, mode, g});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(RanksQueuesModes, Fallback,
+                         ::testing::ValuesIn(fallback_cases()));
+
 TEST_F(HybridTest, ServiceServesTheTicketAfterABadOne) {
   service::ServiceConfig cfg;
   cfg.hybrid.ranks = 2;
@@ -934,11 +1011,11 @@ TEST_F(HybridTest, RetryBudgetExhaustionDegradesBitIdentically) {
 }
 
 TEST_F(HybridTest, DeviceDeathRacingFullQueueKeepsExactlyOnceAccounting) {
-  // A one-slot queue under two ranks forces queue-full CPU fallbacks (the
-  // paper's QAGS path) to race the device's mid-run death. Bit-identity is
-  // not defined here — QAGS differs from the kernels at ~1e-5 — but every
-  // task must still complete exactly once and the dead device must end
-  // quarantined.
+  // A one-slot queue under two ranks forces queue-full CPU fallbacks to
+  // race the device's mid-run death. Every task must still complete exactly
+  // once, the dead device must end quarantined, and the spectra must be
+  // the fault-free single rank's bits: every host path runs the kernel
+  // rule.
   const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
                                             {0.5, 1.0, 0.0, 1},
                                             {0.7, 1.0, 0.0, 2},
@@ -971,13 +1048,11 @@ TEST_F(HybridTest, DeviceDeathRacingFullQueueKeepsExactlyOnceAccounting) {
   EXPECT_EQ(res.faults.gpu_completed + res.faults.cpu_completed,
             static_cast<std::int64_t>(res.tasks_total));
 
-  // Numerically the spectra still match the serial kernel baseline to the
-  // QAGS-vs-Simpson tolerance.
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const apec::Spectrum serial = calc_.calculate(points[p]);
-    EXPECT_LT(worst_relative_difference(serial, res.spectra[p]), 1e-4)
-        << "point " << p;
-  }
+  HybridConfig one;
+  one.ranks = 1;
+  one.devices = 1;
+  expect_bitwise_equal(HybridDriver(calc_, one).run(points).spectra,
+                       res.spectra);
 }
 
 }  // namespace

@@ -205,9 +205,8 @@ class FaultInjectionTest : public ::testing::Test {
     cfg.ranks = ranks;
     cfg.devices = devices;
     cfg.mode = mode;
-    // Large enough that queue-full never sends a task to QAGS: under faults
-    // bit-identity is only defined when every CPU verdict takes the
-    // kernel-equivalent degraded path, not the adaptive integrator.
+    // Deep enough that no verdict is a plain full queue, so every task that
+    // reaches the host got there through a fault.
     cfg.max_queue_length = 32;
     cfg.fault_plan = plan;
     HybridDriver driver(calc_, cfg);
@@ -374,7 +373,7 @@ TEST_F(FaultInjectionTest, DeviceDeathQuarantinesAndDegradesGracefully) {
 
 TEST_F(FaultInjectionTest, SingleDeviceDeathDrainsEverythingToTheHost) {
   // With the only device dead, every remaining task must take the
-  // kernel-equivalent degraded path — still bit-identical, never QAGS.
+  // kernel-equivalent degraded path — still bit-identical.
   FaultPlanConfig cfg;
   cfg.seed = 29;
   cfg.dead_device = 0;

@@ -71,8 +71,8 @@ class FaultSoakTest : public ::testing::Test {
     cfg.ranks = 4;
     cfg.devices = 2;
     cfg.mode = mode;
-    // Queue-full fallbacks take QAGS and break bit-identity; keep the queue
-    // deep enough that only fault verdicts ever reach the CPU.
+    // Deep enough that only fault verdicts ever reach the CPU, so the host
+    // work the soak sees is the recovery layer's.
     cfg.max_queue_length = 64;
     cfg.fault_plan = plan;
     return cfg;

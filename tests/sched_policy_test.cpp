@@ -177,7 +177,8 @@ TEST_F(SchedPolicyTest, ServicePathIdenticalSpectraAndSurfacesSchedStats) {
 TEST_F(SchedPolicyTest, RankStartHookStagedContentionKeepsExactlyOnce) {
   // One device, one-slot queue, rank 1 held until rank 0 has claimed work:
   // both ranks then contend on the same queue, so allocations overflow to
-  // the CPU under pressure. Accounting must stay exactly-once regardless.
+  // the CPU under pressure. Accounting must stay exactly-once regardless,
+  // and the spectra one rank's bits: the CPU path runs the kernel rule.
   const std::vector<apec::GridPoint> points{{0.3, 1.0, 0.0, 0},
                                             {0.5, 1.0, 0.0, 1},
                                             {0.7, 1.0, 0.0, 2},
@@ -199,6 +200,14 @@ TEST_F(SchedPolicyTest, RankStartHookStagedContentionKeepsExactlyOnce) {
   std::int64_t history_total = 0;
   for (auto h : res.history) history_total += h;
   EXPECT_EQ(history_total, res.scheduling.gpu_allocations);
+
+  cfg.ranks = 1;
+  cfg.rank_start_hook = nullptr;
+  const HybridResult one = HybridDriver(calc_, cfg).run(points);
+  for (std::size_t p = 0; p < points.size(); ++p)
+    for (std::size_t b = 0; b < one.spectra[p].bin_count(); ++b)
+      ASSERT_EQ(one.spectra[p][b], res.spectra[p][b])
+          << "point " << p << " bin " << b;
 }
 
 // -------------------------------------- randomized seeded task streams

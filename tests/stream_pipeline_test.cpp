@@ -47,9 +47,9 @@ class PipelineTest : public ::testing::Test {
     cfg.ranks = ranks;
     cfg.devices = devices;
     cfg.granularity = g;
-    // Large enough that no task ever falls back to QAGS: fallback decisions
-    // are race-dependent and QAGS differs from the Simpson kernels at the
-    // 1e-5 level, so bit-identity is only defined on the all-GPU schedule.
+    // Deep enough that every verdict picks a device, so the stream and
+    // cache counters cover every task. (A full queue would not move the
+    // bits: the host path runs the kernel rule.)
     cfg.max_queue_length = 32;
     cfg.mode = mode;
     HybridDriver driver(calc_, cfg);
@@ -86,7 +86,7 @@ TEST_F(PipelineTest, AsyncBitIdenticalAtLevelGranularityAndSingleRank) {
 }
 
 TEST_F(PipelineTest, AsyncBitIdenticalWithoutDevices) {
-  // CPU-only: every task falls back to QAGS through the FIFO.
+  // CPU-only: every task runs the kernel rule on the host.
   const auto pts = points(2);
   const HybridResult sync = run(ExecutionMode::synchronous, 3, 0, pts);
   const HybridResult async = run(ExecutionMode::pipelined, 3, 0, pts);
